@@ -32,7 +32,7 @@ under pytest) when any drifts:
 * scale: the 10^7-peer kernel run (``REPRO_BENCH_SCALE_PEERS``
   overrides; ``REPRO_BENCH_XL=1`` adds a 10^8 slim smoke) keeps its
   wide-precision traced allocation peak <= 8 GiB, ``slim`` precision
-  <= 0.7x the wide peak, and the slim hit rate within 5% of wide.
+  <= 0.8x the wide peak, and the slim hit rate within 5% of wide.
 
 The comparison/gate scenarios additionally record the process peak RSS
 (``peak_rss_bytes``) — a process-lifetime high-water mark, so each
@@ -186,7 +186,7 @@ def _workloads_record() -> dict[str, object]:
     stationary_seconds, stationary_hit = best_of_two(lambda: None)
     drift = GradualDrift(period=duration / 24)
     drift_seconds, drift_hit = best_of_two(
-        lambda: drift.build_batch(
+        lambda: drift.build(
             zipf, np.random.default_rng(np.random.SeedSequence(0))
         )
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro import AdaptiveTtlController, PdhtConfig, PdhtNetwork, ZipfDistribution
 from repro.analysis.threshold import solve_threshold
 from repro.experiments import simulation_scenario
-from repro.workload.queries import ZipfQueryWorkload
+from repro.workloads import StationaryZipf
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
     for i in range(params.n_keys):
         net.publish(f"key-{i:06d}", f"value-{i}")
 
-    workload = ZipfQueryWorkload(
+    workload = StationaryZipf().build(
         ZipfDistribution(params.n_keys, params.alpha),
         net.streams.get("adaptive-queries"),
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro import PdhtConfig, PdhtNetwork, ZipfDistribution
 from repro.experiments import simulation_scenario
-from repro.workload.queries import FlashCrowdWorkload
+from repro.workloads import FlashCrowd
 
 
 def main() -> None:
@@ -30,11 +30,12 @@ def main() -> None:
         net.publish(f"key-{i:06d}", f"value-{i}")
 
     crowd_time = 120.0
-    workload = FlashCrowdWorkload(
+    workload = FlashCrowd(
+        at=crowd_time,
+        cold_rank=params.n_keys,  # the very coldest key
+    ).build(
         ZipfDistribution(params.n_keys, params.alpha),
         net.streams.get("crowd-queries"),
-        crowd_time=crowd_time,
-        cold_rank=params.n_keys,  # the very coldest key
     )
     promoted_index = workload.key_for_rank(params.n_keys)
     promoted_key = f"key-{promoted_index:06d}"

@@ -20,7 +20,7 @@ from collections import Counter
 from repro import PdhtConfig, PdhtNetwork, ZipfDistribution
 from repro.experiments import simulation_scenario
 from repro.workload import CorpusConfig, generate_corpus
-from repro.workload.queries import ZipfQueryWorkload
+from repro.workloads import StationaryZipf
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
         net.publish(key, corpus.articles_for(key))
 
     # Replay a Zipf(1.2) workload: popular predicates dominate.
-    workload = ZipfQueryWorkload(
+    workload = StationaryZipf().build(
         ZipfDistribution(corpus.n_keys, params.alpha),
         net.streams.get("news-queries"),
     )

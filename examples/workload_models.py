@@ -30,13 +30,13 @@ from repro.experiments import simulation_scenario
 from repro.experiments.figures import adaptivity_tracking
 from repro.pdht.config import PdhtConfig
 from repro.sim.rng import RandomStreams
-from repro.workload.queries import ZipfQueryWorkload
 from repro.workload.trace import QueryTrace, record_trace
 from repro.workloads import (
     WORKLOAD_MODEL_NAMES,
     Composite,
     DiurnalCycle,
     GradualDrift,
+    StationaryZipf,
     TraceReplay,
     model_from_name,
 )
@@ -45,7 +45,7 @@ DURATION = 240.0
 
 
 def batch_workload(model, params, seed=0):
-    return model.build_batch(
+    return model.build(
         ZipfDistribution(params.n_keys, params.alpha),
         np.random.default_rng(np.random.SeedSequence([seed, 0xDE30])),
     )
@@ -77,7 +77,7 @@ def main() -> None:
     # 3. Record once, replay everywhere (JSONL).
     zipf = ZipfDistribution(params.n_keys, params.alpha)
     trace = record_trace(
-        ZipfQueryWorkload(zipf, RandomStreams(99).get("demo-trace")),
+        StationaryZipf().build(zipf, RandomStreams(99).get("demo-trace")),
         duration=DURATION, queries_per_round=12,
         description="stationary reference trace",
     )

@@ -185,10 +185,6 @@ class DistributedHashTable(abc.ABC):
         self._storage.get(result.responsible, {}).pop(key, None)
         return result
 
-    def stored_at(self, peer_id: PeerId) -> dict[str, object]:
-        """Snapshot of one member's local store."""
-        return dict(self._storage.get(peer_id, {}))
-
     def local_store(self, peer_id: PeerId) -> dict[str, object]:
         """Mutable reference to one member's local store (PDHT layers on
         this to apply TTL eviction directly at the responsible peer)."""

@@ -30,6 +30,7 @@ The CLI (:mod:`repro.experiments.runner`) consumes only this registry::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
@@ -126,12 +127,24 @@ class ExperimentParams:
     shared_memory: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.duration is not None and self.duration <= 0:
-            raise ParameterError(f"duration must be > 0, got {self.duration}")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
-        if self.scale is not None and self.scale <= 0:
-            raise ParameterError(f"scale must be > 0, got {self.scale}")
+        if self.duration is not None and not (
+            math.isfinite(self.duration) and self.duration > 0
+        ):
+            raise ParameterError(
+                f"duration must be finite and > 0, got {self.duration}"
+            )
+        if self.seed is not None and (
+            not isinstance(self.seed, int) or self.seed < 0
+        ):
+            raise ParameterError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
+        if self.scale is not None and not (
+            math.isfinite(self.scale) and self.scale > 0
+        ):
+            raise ParameterError(
+                f"scale must be finite and > 0, got {self.scale}"
+            )
         if self.shift_at is not None and self.shift_at <= 0:
             raise ParameterError(f"shift_at must be > 0, got {self.shift_at}")
         if self.window is not None and self.window < 0:
@@ -627,6 +640,7 @@ def _execute(
         obs.progress("experiment.replicates", done, total=len(contexts))
         if workers > 1 and len(pending) > 1:
             from concurrent.futures import ProcessPoolExecutor
+            from functools import partial
 
             collect = obs.enabled()
             record = collect and obs_events.recording()
@@ -641,13 +655,12 @@ def _execute(
                 for index, (fig, snapshot, worker_events) in zip(
                     pending,
                     pool.map(
-                        _build_in_context_telemetry,
+                        partial(obs.run_in_worker, _build_in_context),
                         [(contexts[i], collect, record) for i in pending],
                     ),
                 ):
                     figures_by_seed[index] = fig
-                    obs.merge_snapshot(snapshot)
-                    obs_events.emit_remote(worker_events)
+                    obs.merge_worker(snapshot, worker_events)
                     done += 1
                     obs.progress(
                         "experiment.replicates", done, total=len(contexts)
@@ -717,40 +730,6 @@ def _build_in_context(ctx: ExperimentContext) -> FigureSeries:
     the scenario/params ride along as small frozen dataclasses.
     """
     return ctx.spec.builder(ctx)
-
-
-def _build_in_context_telemetry(
-    payload: tuple["ExperimentContext", bool, bool],
-) -> tuple[
-    FigureSeries,
-    Optional[dict[str, object]],
-    Optional[list[dict[str, object]]],
-]:
-    """Replicate-worker entry: builds the figure and ships telemetry back.
-
-    The collection/record flags travel with the payload (spawned workers
-    do not inherit the parent's module state); each replicate records
-    into its own scoped collector so reused pool workers never leak one
-    seed's spans into another's snapshot. Flight-recorder events go to a
-    per-replicate ring shipped back by value — the sink is replaced
-    unconditionally because ``fork``-started workers inherit the
-    parent's sink (shared file descriptor, parent pid stamp).
-    """
-    ctx, collect, record = payload
-    sink = obs_events.RingBufferSink() if record else None
-    obs_events.set_sink(sink)
-    try:
-        if not collect:
-            return _build_in_context(ctx), None, None
-        obs.enable()
-        obs.reset_span_stack()
-        with obs.scoped(merge_into_parent=False) as local:
-            figure = _build_in_context(ctx)
-            obs.sample_peak_rss("worker")
-            snapshot = local.snapshot()
-        return figure, snapshot, sink.events() if sink else None
-    finally:
-        obs_events.set_sink(None)
 
 
 #: Confidence level of the ``replicates=N`` aggregation.

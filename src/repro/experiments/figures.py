@@ -30,7 +30,7 @@ from repro.pdht.strategies import (
     PartialSelectionStrategy,
     StrategyReport,
 )
-from repro.workload.queries import ShuffledZipfWorkload
+from repro.workloads.models import RankSwap
 
 
 def _run_strategy(
@@ -660,8 +660,9 @@ def adaptivity_experiment(
 ) -> FigureSeries:
     """Section 5.2 adaptivity: hit rate under a query-distribution shift.
 
-    Runs the selection algorithm with a :class:`ShuffledZipfWorkload` that
-    re-draws the rank->key mapping at ``shift_at``. The hit rate collapses
+    Runs the selection algorithm with a
+    :class:`~repro.workloads.models.RankSwap` workload that re-draws the
+    rank->key mapping at ``shift_at``. The hit rate collapses
     at the shift and recovers as the TTL index re-learns the new hot set —
     the paper's "adapts to changing query distributions" claim.
     """
@@ -672,17 +673,17 @@ def adaptivity_experiment(
         )
     config = PdhtConfig.from_scenario(params)
     zipf = ZipfDistribution(params.n_keys, params.alpha)
+    model = RankSwap(shift_time=shift_at)
     if resolve_engine(engine) == "vectorized":
         import numpy as np
 
-        from repro.fastsim import BatchShuffledZipfWorkload, run_fastsim
+        from repro.fastsim import run_fastsim
 
         # A dedicated stream for the shifted workload, derived stably from
         # the run seed (the event path uses the "queries-shifted" stream).
-        workload = BatchShuffledZipfWorkload(
+        workload = model.build(
             zipf,
             np.random.default_rng(np.random.SeedSequence([seed, 0x5217F])),
-            shift_time=shift_at,
         )
         report = run_fastsim(
             params,
@@ -696,12 +697,9 @@ def adaptivity_experiment(
     else:
         _require_wide(precision)
         strategy = PartialSelectionStrategy(params, config=config, seed=seed)
-        workload = ShuffledZipfWorkload(
-            zipf,
-            strategy.network.streams.get("queries-shifted"),
-            shift_time=shift_at,
+        strategy.workload = model.build(
+            zipf, strategy.network.streams.get("queries-shifted")
         )
-        strategy.workload = workload
         report = strategy.run(duration, window=window)
     times = [f"{t:.0f}" for t, _ in report.hit_rate_series]
     return FigureSeries(
@@ -808,7 +806,7 @@ def _tracking_reports(
         # (same post-shift permutations, same query sequence) or their
         # gap compares runs of different workloads. The event branch
         # gets this for free by sharing the "queries-model" stream.
-        return models[name].build_batch(
+        return models[name].build(
             zipf,
             np.random.default_rng(
                 np.random.SeedSequence([seed, 0x7AC4, names.index(name)])
@@ -843,7 +841,7 @@ def _tracking_reports(
             runner = STRATEGY_CLASSES[strategy](
                 params, config=config, seed=seed
             )
-            runner.workload = models[name].build_event(
+            runner.workload = models[name].build(
                 zipf, runner.network.streams.get("queries-model")
             )
             reports[(name, strategy)] = runner.run(duration, window=window)

@@ -210,7 +210,7 @@ def sweep_grid(
         config = config.with_ttl(config.key_ttl * point.ttl_factor)
         workload = None
         if point.workload != "stationary":
-            workload = model_from_name(point.workload, duration).build_batch(
+            workload = model_from_name(point.workload, duration).build(
                 ZipfDistribution(cell.n_keys, cell.alpha),
                 np.random.default_rng(
                     np.random.SeedSequence([seed, 0x57EED, index])

@@ -42,6 +42,7 @@ from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.pdht.strategies import PartialSelectionStrategy
+from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "CALIBRATION_LIMIT",
@@ -363,7 +364,6 @@ def _calibrate_churn_costs_probe(
     model: "WorkloadModel | None",
 ) -> ChurnOpCosts:
     from repro.sim.metrics import MessageCategory
-    from repro.workload.queries import ZipfQueryWorkload
 
     if not churn.enabled:
         raise ParameterError(
@@ -384,15 +384,10 @@ def _calibrate_churn_costs_probe(
     net = PdhtNetwork(params, config, seed=seed, churn=churn)
     for i in range(params.n_keys):
         net.publish(f"key-{i:06d}", i)
-    zipf = ZipfDistribution(params.n_keys, params.alpha)
-    if model is not None:
-        workload = model.build_event(
-            zipf, net.streams.get("churn-cal-queries")
-        )
-    else:
-        workload = ZipfQueryWorkload(
-            zipf, net.streams.get("churn-cal-queries")
-        )
+    workload = (model or StationaryZipf()).build(
+        ZipfDistribution(params.n_keys, params.alpha),
+        net.streams.get("churn-cal-queries"),
+    )
     count_rng = net.streams.get("churn-cal-counts")
     probe_rng = net.streams.get("churn-cal-probes")
     rate = params.network_query_rate
@@ -424,18 +419,13 @@ def _calibrate_churn_costs_probe(
         )
     ]
     probe_serial = 0
-    rate_scale = getattr(workload, "rate_multiplier", None)
     for round_index in range(total_rounds):
         net.advance(1.0)
         now = net.simulation.now
         measuring = round_index >= measure_from
         if measuring and maintenance_start is None:
             maintenance_start = net.metrics.total(MessageCategory.MAINTENANCE)
-        count = int(
-            count_rng.poisson(
-                rate * (rate_scale(now) if rate_scale is not None else 1.0)
-            )
-        )
+        count = int(count_rng.poisson(rate * workload.rate_multiplier(now)))
         for event in workload.draw(now, count):
             key_index = event.key_index
             key = f"key-{key_index:06d}"
@@ -942,7 +932,7 @@ def _event_model_strategy(
         params, config=config, seed=seed, churn=churn
     )
     if model is not None:
-        strategy.workload = model.build_event(
+        strategy.workload = model.build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("queries-model"),
         )
@@ -953,7 +943,7 @@ def _batch_model_workload(params: ScenarioParameters, seed: int, model):
     """The kernel-side workload for ``model`` (None = kernel default)."""
     if model is None:
         return None
-    return model.build_batch(
+    return model.build(
         ZipfDistribution(params.n_keys, params.alpha),
         np.random.default_rng(np.random.SeedSequence([seed, 0x3037DE1])),
     )
@@ -1114,8 +1104,6 @@ def staleness_probe_event(
     ``figures.staleness_experiment`` historically ran inline, factored
     here so figure generation and cross-engine checks share it.
     """
-    from repro.workload.queries import ZipfQueryWorkload
-
     if refresh_period <= 0 or duration <= 0:
         raise ParameterError("duration and refresh_period must be > 0")
     zipf = ZipfDistribution(params.n_keys, params.alpha)
@@ -1124,7 +1112,9 @@ def staleness_probe_event(
     for i in range(params.n_keys):
         versions[i] = 0
         net.publish(f"key-{i:06d}", (i, 0))
-    workload = ZipfQueryWorkload(zipf, net.streams.get("staleness-queries"))
+    workload = StationaryZipf().build(
+        zipf, net.streams.get("staleness-queries")
+    )
     rate = params.network_query_rate
     rng = net.streams.get("staleness-counts")
 

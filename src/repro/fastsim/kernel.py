@@ -74,12 +74,13 @@ from repro.fastsim.precision import (
     resolve_precision,
 )
 from repro.fastsim.state import FastSimState
-from repro.fastsim.workload import BatchWorkload, BatchZipfWorkload
+from repro.fastsim.workload import BatchWorkload
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import STRATEGY_NAMES as STRATEGIES
 from repro.sim.metrics import MessageCategory
+from repro.workloads.models import StationaryZipf
 
 __all__ = [
     "PerOpCosts",
@@ -150,7 +151,7 @@ def default_batch_workload(
     params: ScenarioParameters,
     seed: int,
     zipf: Optional[ZipfDistribution] = None,
-) -> BatchZipfWorkload:
+) -> BatchWorkload:
     """The workload :class:`FastSimKernel` builds when given none.
 
     Materialised from the kernel's own seed derivation (the workload
@@ -161,7 +162,7 @@ def default_batch_workload(
     and ship their large arrays to workers by shared-memory handle.
     """
     seeds = np.random.SeedSequence(seed).spawn(5)
-    return BatchZipfWorkload(
+    return StationaryZipf().build(
         zipf or ZipfDistribution(params.n_keys, params.alpha),
         np.random.default_rng(seeds[1]),
     )
@@ -430,7 +431,7 @@ class FastSimKernel:
         self.state = FastSimState(
             params, num_members, self._rng_members, precision=self.precision
         )
-        self.workload = workload or BatchZipfWorkload(
+        self.workload = workload or StationaryZipf().build(
             ZipfDistribution(params.n_keys, params.alpha), self._rng_workload
         )
         if self.workload.n_keys != params.n_keys:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro import obs
@@ -222,11 +223,7 @@ def _run_job(job: FastSimJob) -> FastSimReport:
     return job.run()
 
 
-def _run_shared_job(
-    payload: tuple[FastSimJob, bool, bool],
-) -> tuple[
-    FastSimReport, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]
-]:
+def _run_shared_job(job: FastSimJob) -> FastSimReport:
     """Worker entry for shared-memory payloads: attach, then run.
 
     The job arrives with :class:`~repro.fastsim.shm.SharedArrayRef`
@@ -235,44 +232,7 @@ def _run_shared_job(
     as read-only views (cached per worker process, so a reused pool
     worker attaches each segment once).
     """
-    job, telemetry, record = payload
-    job = replace(job, workload=shm.restore_arrays(job.workload))
-    return _run_job_telemetry((job, telemetry, record))
-
-
-def _run_job_telemetry(
-    payload: tuple[FastSimJob, bool, bool],
-) -> tuple[
-    FastSimReport, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]
-]:
-    """Worker entry point that ships the job's telemetry back with it.
-
-    The enabled/record flags travel with the payload because pool
-    workers may be fresh processes (spawn) that do not inherit the
-    parent's module state. Each job records into its own scoped
-    collector — pool workers are *reused* across jobs, so recording into
-    the worker's global collector would leak one job's spans into the
-    next job's snapshot and double-count on merge. Flight-recorder
-    events likewise go to a per-job ring shipped back by value; the sink
-    is replaced *unconditionally* because ``fork``-started workers
-    inherit the parent's sink (shared file descriptor, parent pid
-    stamp), and the first heartbeat would otherwise write through it.
-    """
-    job, telemetry, record = payload
-    sink = obs_events.RingBufferSink() if record else None
-    obs_events.set_sink(sink)
-    try:
-        if not telemetry:
-            return job.run(), None, None
-        obs.enable()
-        obs.reset_span_stack()
-        with obs.scoped(merge_into_parent=False) as local:
-            report = job.run()
-            obs.sample_peak_rss("worker")
-            snapshot = local.snapshot()
-        return report, snapshot, sink.events() if sink else None
-    finally:
-        obs_events.set_sink(None)
+    return replace(job, workload=shm.restore_arrays(job.workload)).run()
 
 
 def run_many(
@@ -364,7 +324,7 @@ def run_many(
         if telemetry:
             obs.sample_peak_rss("worker")
         return reports  # type: ignore[return-value]
-    entry = _run_job_telemetry
+    entry = _run_job
     record = telemetry and obs_events.recording()
     shipped: list[FastSimJob] = [resolved[i] for i in pending]
     arena: Optional[shm.ShmArena] = None
@@ -393,13 +353,12 @@ def run_many(
                 for index, (report, snapshot, worker_events) in zip(
                     pending,
                     pool.map(
-                        entry,
+                        partial(obs.run_in_worker, entry),
                         [(job, telemetry, record) for job in shipped],
                     ),
                 ):
                     _finish(index, report)
-                    obs.merge_snapshot(snapshot)
-                    obs_events.emit_remote(worker_events)
+                    obs.merge_worker(snapshot, worker_events)
                     done += 1
                     obs.progress(
                         "parallel.jobs", done, total=len(resolved)

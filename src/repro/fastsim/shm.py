@@ -191,7 +191,7 @@ def extract_arrays(
     are returned as-is. The walk covers ndarray attributes up to
     ``_depth`` levels of ``__dict__``-bearing objects plus list/tuple/
     dict containers — enough for every workload shape in the repo
-    (workload → zipf → tables, workload → cursor → model → trace).
+    (workload → zipf → tables, plus a trace replay's own arrays).
     """
     if isinstance(obj, np.ndarray):
         if obj.nbytes >= min_bytes and obj.dtype != object:

@@ -1,36 +1,40 @@
-"""Batched query-stream sampling for the vectorized kernel.
+"""Query streams for both engines.
 
-Mirror of :mod:`repro.workload.queries` at batch granularity: instead of
-yielding one :class:`~repro.workload.queries.QueryEvent` per query, a batch
-workload returns whole numpy arrays of (rank, key index) pairs per round.
-The non-stationary variants reproduce the same shift semantics so the
-adaptivity experiments run unchanged on either engine.
+A :class:`BatchWorkload` draws a round's queries as numpy arrays of
+(rank, key index) pairs — whole segments at a time for the vectorized
+kernel (:meth:`BatchWorkload.draw_rounds`) — and hands the
+discrete-event engine the same round as
+:class:`~repro.workload.queries.QueryEvent` objects
+(:meth:`BatchWorkload.draw`). Both views go through one
+:meth:`BatchWorkload.draw_round`, so a shared generator state yields the
+same queries on either engine.
 
-The general non-stationary case lives in :mod:`repro.workloads`: a
-:class:`~repro.workloads.models.WorkloadModel` builds a batch stream via
-``model.build_batch(zipf, rng)``, whose ``next_boundary`` schedule keeps
-whole shift-free segments on the one-``sample_ranks`` fast path, plus
-optional per-round rate modulation (:meth:`BatchWorkload.rate_multipliers`)
-and exact trace-replay counts (:meth:`BatchWorkload.fixed_counts`).
+Concrete streams come from a
+:class:`~repro.workloads.models.WorkloadModel`: ``model.build(zipf,
+rng)`` returns a :class:`ModelWorkload` (mapping boundaries and rate
+modulation from the model) or, for a recorded trace, a
+:class:`TraceWorkload` (exact per-round counts via
+:meth:`BatchWorkload.fixed_counts`). ``next_boundary`` keeps whole
+shift-free segments on the one-``sample_ranks`` fast path.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.fastsim.precision import INDEX_DTYPE
+from repro.workload.queries import QueryEvent
 
-__all__ = [
-    "BatchWorkload",
-    "BatchZipfWorkload",
-    "BatchShuffledZipfWorkload",
-    "BatchFlashCrowdWorkload",
-]
+if TYPE_CHECKING:
+    from repro.workloads.models import TraceReplay, WorkloadModel
+
+__all__ = ["BatchWorkload", "ModelWorkload", "TraceWorkload"]
 
 
 class BatchWorkload(abc.ABC):
@@ -77,6 +81,12 @@ class BatchWorkload(abc.ABC):
         (the boolean view of :meth:`next_boundary`; also a pure peek)."""
         return self.next_boundary(now) <= now
 
+    def rate_multiplier(self, now: float) -> float:
+        """Query-rate factor for the round at ``now`` (1.0 = the
+        scenario rate); the event engine's per-round view of
+        :meth:`rate_multipliers`."""
+        return 1.0
+
     def rate_multipliers(self, start: float, rounds: int) -> np.ndarray | None:
         """Per-round query-rate factors for rounds ``start+1 .. start+rounds``.
 
@@ -105,6 +115,15 @@ class BatchWorkload(abc.ABC):
         self.maybe_shift(now)
         ranks = self.zipf.sample_ranks(self.rng, count)
         return ranks, self.rank_to_key[ranks - 1]
+
+    def draw(self, now: float, count: int) -> list[QueryEvent]:
+        """One round's queries as events (the discrete-event engine's
+        view of :meth:`draw_round`: same RNG draws, same mapping)."""
+        ranks, keys = self.draw_round(now, count)
+        return [
+            QueryEvent(time=now, rank=rank, key_index=key)
+            for rank, key in zip(ranks.tolist(), keys.tolist())
+        ]
 
     def draw_rounds(
         self,
@@ -188,8 +207,73 @@ class BatchWorkload(abc.ABC):
         return ranks, keys, offsets
 
 
-class BatchZipfWorkload(BatchWorkload):
-    """The stationary Zipf stream of the paper's evaluation."""
+class ModelWorkload(BatchWorkload):
+    """The stream a :class:`~repro.workloads.models.WorkloadModel`
+    drives (built by ``model.build``).
+
+    The model is a frozen schedule; this object owns the mutable part —
+    the current rank -> key mapping and the next unapplied boundary.
+    Between boundaries the mapping is frozen, so whole segments draw in
+    one ``sample_ranks`` call exactly like the stationary stream.
+    """
+
+    def __init__(
+        self,
+        model: WorkloadModel,
+        zipf: ZipfDistribution,
+        rng: np.random.Generator,
+    ) -> None:
+        model.check_keys(zipf.n_keys)
+        super().__init__(zipf, rng)
+        self.model = model
+        self._next = model.next_boundary(-math.inf)
+
+    def next_boundary(self, now: float) -> float:
+        return self._next
+
+    def maybe_shift(self, now: float) -> bool:
+        """Apply every boundary due by ``now``, in schedule order."""
+        changed = False
+        while now >= self._next:
+            at = self._next
+            self.rank_to_key = self.model.apply(at, self.rank_to_key, self.rng)
+            self._next = self.model.next_boundary(at)
+            changed = True
+        return changed
+
+    def rate_multiplier(self, now: float) -> float:
+        return self.model.rate_multiplier(now)
+
+    def rate_multipliers(self, start: float, rounds: int) -> np.ndarray | None:
+        times = start + 1.0 + np.arange(rounds, dtype=float)
+        return self.model.rate_multipliers(times)
+
+
+class TraceWorkload(BatchWorkload):
+    """Replay of a recorded trace (built by ``TraceReplay.build``).
+
+    Nothing is sampled: the per-round query counts come from the trace
+    (:meth:`fixed_counts`), and round ``i`` of a run starting at
+    ``start`` replays the events with times in ``[start + i, start + i +
+    1)`` — every strategy and both engines see the identical queries.
+    """
+
+    def __init__(
+        self,
+        model: TraceReplay,
+        zipf: ZipfDistribution,
+        rng: np.random.Generator,
+    ) -> None:
+        model.check_keys(zipf.n_keys)
+        super().__init__(zipf, rng)
+        self.trace = model.trace
+        self._times = np.array([e.time for e in self.trace], dtype=float)
+        self._ranks = np.array(
+            [e.rank for e in self.trace], dtype=INDEX_DTYPE
+        )
+        self._keys = np.array(
+            [e.key_index for e in self.trace], dtype=INDEX_DTYPE
+        )
 
     def next_boundary(self, now: float) -> float:
         return math.inf
@@ -197,63 +281,35 @@ class BatchZipfWorkload(BatchWorkload):
     def maybe_shift(self, now: float) -> bool:
         return False
 
+    def fixed_counts(self, start: float, rounds: int) -> np.ndarray:
+        edges = start + np.arange(rounds + 1, dtype=float)
+        return np.diff(np.searchsorted(self._times, edges, side="left"))
 
-class BatchShuffledZipfWorkload(BatchWorkload):
-    """Re-draws the rank->key mapping at ``shift_time`` (wholesale change)."""
+    def draw_round(self, now: float, count: int):
+        """The recorded round ending at ``now``; ``count`` is ignored."""
+        lo, hi = np.searchsorted(
+            self._times, [now - 1.0, now], side="left"
+        )
+        return self._ranks[lo:hi].copy(), self._keys[lo:hi].copy()
 
-    def __init__(
-        self,
-        zipf: ZipfDistribution,
-        rng: np.random.Generator,
-        shift_time: float,
-    ) -> None:
-        super().__init__(zipf, rng)
-        if shift_time < 0:
-            raise ParameterError(f"shift_time must be >= 0, got {shift_time}")
-        self.shift_time = shift_time
-        self.shifted = False
+    def draw(self, now: float, count: int) -> list[QueryEvent]:
+        """The recorded events of the round ending at ``now``, with
+        their recorded times; ``count`` is ignored."""
+        return self.trace.events_between(now - 1.0, now)
 
-    def next_boundary(self, now: float) -> float:
-        return self.shift_time if not self.shifted else math.inf
-
-    def maybe_shift(self, now: float) -> bool:
-        if self.shift_pending(now):
-            self.rank_to_key = self.rng.permutation(self.n_keys)
-            self.shifted = True
-            return True
-        return False
-
-
-class BatchFlashCrowdWorkload(BatchWorkload):
-    """Promotes one cold key to rank 1 at ``crowd_time`` (breaking news)."""
-
-    def __init__(
-        self,
-        zipf: ZipfDistribution,
-        rng: np.random.Generator,
-        crowd_time: float,
-        cold_rank: int | None = None,
-    ) -> None:
-        super().__init__(zipf, rng)
-        if crowd_time < 0:
-            raise ParameterError(f"crowd_time must be >= 0, got {crowd_time}")
-        cold_rank = zipf.n_keys if cold_rank is None else cold_rank
-        if not 1 <= cold_rank <= zipf.n_keys:
+    def draw_rounds(self, start: float, counts: np.ndarray, out=None):
+        # ``out`` (the kernel's reusable draw buffers) is accepted for
+        # signature parity and ignored: replay slices the recorded
+        # stream, it never draws.
+        counts = np.asarray(counts, dtype=INDEX_DTYPE)
+        expected = self.fixed_counts(start, counts.size)
+        if not np.array_equal(counts, expected):
             raise ParameterError(
-                f"cold_rank must be in [1, {zipf.n_keys}], got {cold_rank}"
+                "trace replay needs the trace's own per-round counts "
+                "(use fixed_counts); the passed counts disagree with the "
+                "recorded stream"
             )
-        self.crowd_time = crowd_time
-        self.cold_rank = cold_rank
-        self.crowded = False
-
-    def next_boundary(self, now: float) -> float:
-        return self.crowd_time if not self.crowded else math.inf
-
-    def maybe_shift(self, now: float) -> bool:
-        if self.shift_pending(now):
-            promoted = self.rank_to_key[self.cold_rank - 1]
-            mapping = np.delete(self.rank_to_key, self.cold_rank - 1)
-            self.rank_to_key = np.concatenate(([promoted], mapping))
-            self.crowded = True
-            return True
-        return False
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        lo = int(np.searchsorted(self._times, start, side="left"))
+        hi = lo + int(offsets[-1])
+        return self._ranks[lo:hi].copy(), self._keys[lo:hi].copy(), offsets

@@ -16,7 +16,7 @@ peers, which is what search algorithms traverse under churn.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Literal
 
 import networkx as nx
 import numpy as np
@@ -117,10 +117,6 @@ class GnutellaTopology:
             n for n in sorted(self.graph.neighbors(peer_id))
             if self.population.is_online(n)
         ]
-
-    def online_subgraph_nodes(self) -> Iterable[PeerId]:
-        """Ids of online peers (vertices of the live overlay)."""
-        return self.population.online_ids
 
     def measured_duplication_factor(self, sample_floods: int = 0) -> float:
         """Mean edges-per-vertex ratio seen by a flood (lower bound on dup).

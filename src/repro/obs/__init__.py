@@ -15,9 +15,10 @@ cells) starts accumulating into one process-global :class:`Collector`::
     print(obs.profile_text(obs.collector()))
 
 Worker processes (``fastsim.parallel.run_many``, experiment replicates)
-ship their collector's :meth:`Collector.snapshot` back with each result;
-the parent merges them (order-independent, duplicate-safe) so a parallel
-sweep reports a single profile. ``ExperimentResult.telemetry`` and the
+run each task through :func:`run_in_worker`, which ships the task's
+:meth:`Collector.snapshot` and recorded events back with its result;
+the parent folds them in with :func:`merge_worker` (order-independent,
+duplicate-safe) so a parallel sweep reports a single profile. ``ExperimentResult.telemetry`` and the
 runner's ``--profile`` flag surface the same data; ``benchmarks/record.py``
 persists the trajectory.
 
@@ -41,8 +42,10 @@ from repro.obs.collector import (
     enabled,
     gauge_max,
     merge_snapshot,
+    merge_worker,
     peak_rss_bytes,
     reset_span_stack,
+    run_in_worker,
     sample_peak_rss,
     scoped,
     set_collector,
@@ -75,6 +78,8 @@ __all__ = [
     "gauge_max",
     "add_duration",
     "merge_snapshot",
+    "run_in_worker",
+    "merge_worker",
     "peak_rss_bytes",
     "reset_span_stack",
     "sample_peak_rss",

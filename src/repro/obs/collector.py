@@ -37,7 +37,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.obs import events as _events
 
@@ -54,6 +54,8 @@ __all__ = [
     "gauge_max",
     "add_duration",
     "merge_snapshot",
+    "run_in_worker",
+    "merge_worker",
     "peak_rss_bytes",
     "sample_peak_rss",
     "reset_span_stack",
@@ -397,6 +399,51 @@ def merge_snapshot(snapshot: Optional[dict]) -> bool:
         # the exact same duplicate-safe Collector.merge the live run did.
         _events.emit_event("merge", prefix=prefix, snapshot=snapshot)
     return merged
+
+
+def run_in_worker(
+    fn: Callable[[Any], Any], payload: tuple[Any, bool, bool]
+) -> tuple[Any, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]]:
+    """Pool-worker side of telemetry shipping: ``fn(arg)`` plus its
+    telemetry, returned by value as ``(result, snapshot, events)``.
+
+    ``payload`` is ``(arg, collect, record)``. The collect/record flags
+    travel with it because pool workers may be fresh processes (spawn)
+    that do not inherit the parent's module state. Each call records
+    into its own scoped collector — pool workers are *reused*, so
+    recording into the worker's global collector would leak one task's
+    spans into the next task's snapshot and double-count on merge.
+    Flight-recorder events likewise go to a per-call ring; the sink is
+    replaced *unconditionally* because ``fork``-started workers inherit
+    the parent's sink (shared file descriptor, parent pid stamp), and
+    the first heartbeat would otherwise write through it. Bind ``fn``
+    with :func:`functools.partial` to get a picklable pool entry point.
+    """
+    arg, collect, record = payload
+    sink = _events.RingBufferSink() if record else None
+    _events.set_sink(sink)
+    try:
+        if not collect:
+            return fn(arg), None, None
+        enable()
+        reset_span_stack()
+        with scoped(merge_into_parent=False) as local:
+            result = fn(arg)
+            sample_peak_rss("worker")
+            snapshot = local.snapshot()
+        return result, snapshot, sink.events() if sink else None
+    finally:
+        _events.set_sink(None)
+
+
+def merge_worker(
+    snapshot: Optional[dict], events: Optional[list[dict[str, Any]]]
+) -> None:
+    """Parent side of :func:`run_in_worker`: merge the snapshot
+    (re-rooted, see :func:`merge_snapshot`) and re-emit the events as
+    remote. Call it inside the span that fanned the work out."""
+    merge_snapshot(snapshot)
+    _events.emit_remote(events)
 
 
 def add_duration(name: str, seconds: float, n: int = 1) -> None:

@@ -42,7 +42,7 @@ from repro.pdht.node import PdhtNode
 from repro.pdht.selection import SelectionPolicy
 from repro.replication.replica_network import ReplicaNetwork
 from repro.sim.engine import Simulation
-from repro.sim.metrics import MessageCategory, MessageMetrics
+from repro.sim.metrics import MessageMetrics
 from repro.sim.rng import RandomStreams
 from repro.unstructured.overlay import UnstructuredOverlay
 from repro.unstructured.random_walk import RandomWalkSearch
@@ -369,13 +369,6 @@ class PdhtNetwork:
             node.store.purge_expired(now)
             keys.update(node.store.keys())
         return len(keys)
-
-    def message_rate(self, duration: float) -> dict[MessageCategory, float]:
-        """Per-category msg/s over ``duration`` (for model comparison)."""
-        return {
-            category: self.metrics.total(category) / duration
-            for category in MessageCategory
-        }
 
     def random_online_peer(self) -> PeerId:
         return self.overlay.random_online_peer(self.streams.get("origins"))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.threshold import solve_threshold
@@ -31,7 +31,10 @@ from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.pdht.network import PdhtNetwork
 from repro.sim.metrics import MessageCategory
-from repro.workload.queries import QueryWorkload, ZipfQueryWorkload
+from repro.workloads.models import StationaryZipf
+
+if TYPE_CHECKING:
+    from repro.fastsim.workload import BatchWorkload
 
 __all__ = [
     "StrategyReport",
@@ -83,11 +86,6 @@ class StrategyReport:
             return 0.0
         return self.answered / self.queries
 
-    def rate_of(self, category: MessageCategory) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.messages_by_category.get(category, 0.0) / self.duration
-
 
 class SimulatedStrategy(abc.ABC):
     """Common driver: substrate construction, workload loop, reporting."""
@@ -100,7 +98,7 @@ class SimulatedStrategy(abc.ABC):
         config: Optional[PdhtConfig] = None,
         seed: int = 0,
         churn: Optional[ChurnConfig] = None,
-        workload: Optional[QueryWorkload] = None,
+        workload: Optional[BatchWorkload] = None,
     ) -> None:
         self.params = params
         base_config = config or PdhtConfig.from_scenario(params)
@@ -112,7 +110,7 @@ class SimulatedStrategy(abc.ABC):
             num_active_peers=self._active_peers(),
             churn=churn,
         )
-        self.workload = workload or ZipfQueryWorkload(
+        self.workload = workload or StationaryZipf().build(
             ZipfDistribution(params.n_keys, params.alpha),
             self.network.streams.get("queries"),
         )
@@ -193,17 +191,13 @@ class SimulatedStrategy(abc.ABC):
             window_queries = window_hits = 0
 
         rounds = int(round(duration))
-        # Model-driven workloads can modulate the query rate over time
-        # (e.g. a diurnal cycle); plain workloads draw at the flat rate.
-        rate_scale = getattr(self.workload, "rate_multiplier", None)
         for _ in range(rounds):
             self.network.advance(1.0)
             now = sim.now
-            # Queries this round: Poisson around the network-wide rate.
+            # Queries this round: Poisson around the network-wide rate,
+            # modulated by the workload (e.g. a diurnal cycle).
             count = int(
-                self._rng.poisson(
-                    rate * (rate_scale(now) if rate_scale is not None else 1.0)
-                )
+                self._rng.poisson(rate * self.workload.rate_multiplier(now))
             )
             for event in self.workload.draw(now, count):
                 origin = self.network.random_online_peer()

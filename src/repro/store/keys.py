@@ -89,7 +89,7 @@ def canonical(value: Any) -> Any:
         return [canonical(item) for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted(canonical(item) for item in value)
-    # Workload adapters (BatchWorkload subclasses) and similar stateful
+    # Workload streams (BatchWorkload subclasses) and similar stateful
     # objects: identity is the class plus its instance state.
     state = getattr(value, "__dict__", None)
     if state is not None:

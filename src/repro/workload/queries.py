@@ -1,34 +1,18 @@
-"""Query workloads: Zipf streams and time-varying variants.
+"""Query events: the unit of a query stream and of a recorded trace.
 
-Queries are Zipf(alpha)-distributed over key ranks [Srip01]. Beyond the
-stationary stream the paper's adaptivity claims (Section 5.2: the index
-"adapts to changing query frequencies and distributions") need
-non-stationary workloads, so two variants are provided:
-
-* :class:`ShuffledZipfWorkload` — at a configured time the rank->key
-  mapping is re-drawn, modelling a wholesale popularity change (yesterday's
-  news is old news);
-* :class:`FlashCrowdWorkload` — at a configured time one previously-cold
-  key jumps to rank 1 (a breaking story).
+Queries are Zipf(alpha)-distributed over key ranks [Srip01]. The streams
+that emit them — stationary or shifting, as the paper's adaptivity
+claims (Section 5.2) need — are built from a
+:class:`~repro.workloads.models.WorkloadModel` with ``model.build(zipf,
+rng)``; the same stream feeds the discrete-event engine (``draw``) and
+the vectorized kernel (``draw_rounds``).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.analysis.zipf import ZipfDistribution
-from repro.errors import ParameterError
-
-__all__ = [
-    "QueryEvent",
-    "QueryWorkload",
-    "ZipfQueryWorkload",
-    "ShuffledZipfWorkload",
-    "FlashCrowdWorkload",
-]
+__all__ = ["QueryEvent"]
 
 
 @dataclass(frozen=True)
@@ -43,112 +27,3 @@ class QueryEvent:
     time: float
     rank: int
     key_index: int
-
-
-class QueryWorkload(abc.ABC):
-    """A stream of :class:`QueryEvent` drawn at a configurable rate."""
-
-    def __init__(self, zipf: ZipfDistribution, rng: np.random.Generator) -> None:
-        self.zipf = zipf
-        self.rng = rng
-        #: Permutation mapping rank-1-based -> key index. Identity at start.
-        self._rank_to_key = np.arange(zipf.n_keys)
-
-    @property
-    def n_keys(self) -> int:
-        return self.zipf.n_keys
-
-    def key_for_rank(self, rank: int) -> int:
-        """Stable key index currently holding popularity ``rank``."""
-        if not 1 <= rank <= self.n_keys:
-            raise ParameterError(f"rank must be in [1, {self.n_keys}], got {rank}")
-        return int(self._rank_to_key[rank - 1])
-
-    @abc.abstractmethod
-    def maybe_shift(self, now: float) -> bool:
-        """Apply any scheduled distribution change; True if one happened."""
-
-    def draw(self, now: float, count: int) -> list[QueryEvent]:
-        """Draw ``count`` queries at time ``now`` (after applying shifts)."""
-        if count < 0:
-            raise ParameterError(f"count must be >= 0, got {count}")
-        self.maybe_shift(now)
-        ranks = self.zipf.sample_ranks(self.rng, count)
-        return [
-            QueryEvent(
-                time=now, rank=int(r), key_index=int(self._rank_to_key[int(r) - 1])
-            )
-            for r in ranks
-        ]
-
-
-class ZipfQueryWorkload(QueryWorkload):
-    """The stationary Zipf stream of the paper's evaluation."""
-
-    def maybe_shift(self, now: float) -> bool:
-        return False
-
-
-class ShuffledZipfWorkload(QueryWorkload):
-    """Re-draws the rank->key mapping at ``shift_time``.
-
-    After the shift the *shape* of the distribution is unchanged but the
-    identity of the popular keys is new, so every previously-indexed hot
-    key goes cold at once — the hardest case for the TTL selection
-    algorithm.
-    """
-
-    def __init__(
-        self,
-        zipf: ZipfDistribution,
-        rng: np.random.Generator,
-        shift_time: float,
-    ) -> None:
-        super().__init__(zipf, rng)
-        if shift_time < 0:
-            raise ParameterError(f"shift_time must be >= 0, got {shift_time}")
-        self.shift_time = shift_time
-        self.shifted = False
-
-    def maybe_shift(self, now: float) -> bool:
-        if not self.shifted and now >= self.shift_time:
-            self._rank_to_key = self.rng.permutation(self.n_keys)
-            self.shifted = True
-            return True
-        return False
-
-
-class FlashCrowdWorkload(QueryWorkload):
-    """Promotes one cold key to rank 1 at ``crowd_time`` (breaking news).
-
-    The old rank-1 key and every key in between shift down one rank; the
-    promoted key was previously at ``cold_rank`` (default: the very tail).
-    """
-
-    def __init__(
-        self,
-        zipf: ZipfDistribution,
-        rng: np.random.Generator,
-        crowd_time: float,
-        cold_rank: int | None = None,
-    ) -> None:
-        super().__init__(zipf, rng)
-        if crowd_time < 0:
-            raise ParameterError(f"crowd_time must be >= 0, got {crowd_time}")
-        cold_rank = zipf.n_keys if cold_rank is None else cold_rank
-        if not 1 <= cold_rank <= zipf.n_keys:
-            raise ParameterError(
-                f"cold_rank must be in [1, {zipf.n_keys}], got {cold_rank}"
-            )
-        self.crowd_time = crowd_time
-        self.cold_rank = cold_rank
-        self.crowded = False
-
-    def maybe_shift(self, now: float) -> bool:
-        if not self.crowded and now >= self.crowd_time:
-            promoted = self._rank_to_key[self.cold_rank - 1]
-            mapping = np.delete(self._rank_to_key, self.cold_rank - 1)
-            self._rank_to_key = np.concatenate(([promoted], mapping))
-            self.crowded = True
-            return True
-        return False

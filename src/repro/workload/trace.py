@@ -15,10 +15,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ParameterError
-from repro.workload.queries import QueryEvent, QueryWorkload
+from repro.workload.queries import QueryEvent
+
+if TYPE_CHECKING:
+    from repro.fastsim.workload import BatchWorkload
 
 __all__ = ["QueryTrace", "record_trace"]
 
@@ -201,7 +204,7 @@ class QueryTrace:
 
 
 def record_trace(
-    workload: QueryWorkload,
+    workload: BatchWorkload,
     duration: float,
     queries_per_round: int,
     description: str = "",

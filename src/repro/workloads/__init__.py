@@ -23,13 +23,11 @@ model                 what changes
 ``Composite``         several of the above overlaid
 ====================  ==================================================
 
-A model builds engine-specific streams with
-:meth:`~repro.workloads.models.WorkloadModel.build_event` (the
-discrete-event engine's :class:`~repro.workload.queries.QueryWorkload`)
-and :meth:`~repro.workloads.models.WorkloadModel.build_batch` (the
-vectorized kernel's :class:`~repro.fastsim.workload.BatchWorkload`,
-preserving the segment-batched ``draw_rounds`` fast path via
-``next_boundary``). Under churn, the kernel's per-op cost calibration is
+A model builds one stream for both engines with
+:meth:`~repro.workloads.models.WorkloadModel.build` (a
+:class:`~repro.fastsim.workload.BatchWorkload`: ``draw`` feeds the
+discrete-event engine, ``draw_rounds`` the vectorized kernel, keeping
+the segment-batched fast path via ``next_boundary``). Under churn, the kernel's per-op cost calibration is
 rank-permutation aware: it drives its probe workload with the same model
 (see :func:`repro.fastsim.compare.calibrate_churn_costs`).
 
@@ -41,12 +39,6 @@ grid's ``GridAxes.workloads`` axis, and the runner's ``--workload`` flag
 (``trace:<path>`` replays a saved trace).
 """
 
-from repro.workloads.adapters import (
-    BatchTraceWorkload,
-    ModelBatchWorkload,
-    ModelQueryWorkload,
-    TraceQueryWorkload,
-)
 from repro.workloads.models import (
     WORKLOAD_MODEL_NAMES,
     Composite,
@@ -73,8 +65,4 @@ __all__ = [
     "WORKLOAD_MODEL_NAMES",
     "model_from_name",
     "validate_workload_name",
-    "ModelQueryWorkload",
-    "ModelBatchWorkload",
-    "TraceQueryWorkload",
-    "BatchTraceWorkload",
 ]

@@ -11,16 +11,15 @@ can key on them) and picklable (so parallel job specs can ship them).
 The segment contract
 --------------------
 
-Both engines consume a model as a sequence of *segments*: maximal spans
-of rounds between mapping boundaries, each drawn under one frozen
-``(counts, rank_to_key)`` pair. The event engine walks the segments one
-round at a time (:class:`repro.workloads.adapters.ModelQueryWorkload`);
-the vectorized kernel draws whole segments in one ``sample_ranks`` call
-(:class:`repro.workloads.adapters.ModelBatchWorkload`, preserving the
-segment-batched ``draw_rounds`` fast path). Because both adapters apply
-boundaries through the same :meth:`WorkloadModel.apply` with the same
-while-loop discipline, a shared generator state yields the same realized
-mapping on either engine.
+Both engines consume a model through one stream object,
+``model.build(zipf, rng)`` (a :class:`repro.fastsim.workload.ModelWorkload`),
+as a sequence of *segments*: maximal spans of rounds between mapping
+boundaries, each drawn under one frozen ``(counts, rank_to_key)`` pair.
+The event engine walks the segments one round at a time (``draw``); the
+vectorized kernel draws whole segments in one ``sample_ranks`` call
+(the segment-batched ``draw_rounds`` fast path). Both views apply
+boundaries through the same :meth:`WorkloadModel.apply`, so a shared
+generator state yields the same realized mapping on either engine.
 
 The models
 ----------
@@ -86,8 +85,8 @@ class WorkloadModel(abc.ABC):
         """Earliest mapping-change time strictly greater than ``after``.
 
         ``math.inf`` means the mapping never changes again. Pure in
-        ``after`` — a model carries no mutable state; the consuming
-        adapter tracks which boundaries it has already applied.
+        ``after`` — a model carries no mutable state; the stream built
+        from it tracks which boundaries it has already applied.
         """
         return math.inf
 
@@ -103,7 +102,7 @@ class WorkloadModel(abc.ABC):
         """The new rank -> key mapping after the boundary at ``at``.
 
         May consume randomness; must *return* the mapping (possibly the
-        input array) rather than mutate it in place, so adapters can
+        input array) rather than mutate it in place, so streams can
         share segments safely.
         """
         return mapping
@@ -132,20 +131,21 @@ class WorkloadModel(abc.ABC):
         """
         return None
 
-    # -- engine adapters -----------------------------------------------
-    def build_event(self, zipf, rng: np.random.Generator):
-        """An event-engine :class:`~repro.workload.queries.QueryWorkload`
-        driving this model."""
-        from repro.workloads.adapters import ModelQueryWorkload
+    # -- building a stream ---------------------------------------------
+    def check_keys(self, n_keys: int) -> None:
+        """Raise :class:`ParameterError` if the model cannot drive a
+        universe of ``n_keys`` keys (checked when a stream is built, so a
+        bad model fails before the run rather than at its first
+        boundary)."""
 
-        return ModelQueryWorkload(self, zipf, rng)
+    def build(self, zipf, rng: np.random.Generator):
+        """The query stream this model drives, for either engine: a
+        :class:`~repro.fastsim.workload.ModelWorkload` whose
+        ``draw_rounds`` feeds the vectorized kernel and whose ``draw``
+        feeds the discrete-event engine."""
+        from repro.fastsim.workload import ModelWorkload
 
-    def build_batch(self, zipf, rng: np.random.Generator):
-        """A vectorized :class:`~repro.fastsim.workload.BatchWorkload`
-        driving this model."""
-        from repro.workloads.adapters import ModelBatchWorkload
-
-        return ModelBatchWorkload(self, zipf, rng)
+        return ModelWorkload(self, zipf, rng)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,11 @@ class StationaryZipf(WorkloadModel):
 class RankSwap(WorkloadModel):
     """Wholesale popularity change: the mapping is re-drawn once.
 
-    The historical adaptivity shift
-    (:class:`~repro.workload.queries.ShuffledZipfWorkload`) as a model:
-    at ``shift_time`` every previously hot key goes cold at once — the
-    hardest case for the TTL selection algorithm. Consumes exactly one
-    ``rng.permutation`` draw, so seeded results are bit-identical to the
-    pre-model shift path.
+    The adaptivity shift of Section 5.2: at ``shift_time`` every
+    previously hot key goes cold at once — the hardest case for the TTL
+    selection algorithm. Consumes exactly one ``rng.permutation`` draw,
+    so seeded results are bit-identical to the pinned shuffled-workload
+    capture.
     """
 
     shift_time: float
@@ -227,7 +226,7 @@ class GradualDrift(WorkloadModel):
         if boundary <= after:
             # Float guard for non-representable periods (0.3, ...):
             # k * period can round to `after` itself, and a boundary
-            # that is not strictly greater would pin the adapter's
+            # that is not strictly greater would pin the stream's
             # cursor to a fixpoint.
             boundary = (k + 1) * self.period
         return boundary
@@ -270,8 +269,8 @@ class FlashCrowd(WorkloadModel):
     At ``at`` the key currently holding ``cold_rank`` (default: the very
     tail) is injected above rank 1 — everyone else shifts down one rank.
     ``hot_for`` rounds later the crowd disperses and the key is demoted
-    back to ``cold_rank``. ``hot_for=math.inf`` reproduces the permanent
-    promotion of the historical flash-crowd workload.
+    back to ``cold_rank``. ``hot_for=math.inf`` (the default) makes the
+    promotion permanent.
     """
 
     at: float
@@ -311,6 +310,9 @@ class FlashCrowd(WorkloadModel):
                 f"cold_rank must be in [1, {n}], got {rank}"
             )
         return rank
+
+    def check_keys(self, n_keys: int) -> None:
+        self._resolved_cold_rank(n_keys)
 
     def apply(self, at, mapping, rng):
         cold = self._resolved_cold_rank(mapping.size)
@@ -395,15 +397,19 @@ class TraceReplay(WorkloadModel):
     def from_file(cls, path) -> "TraceReplay":
         return cls(QueryTrace.load(path))
 
-    def build_event(self, zipf, rng):
-        from repro.workloads.adapters import TraceQueryWorkload
+    def check_keys(self, n_keys: int) -> None:
+        if n_keys != self.trace.n_keys:
+            raise ParameterError(
+                f"trace covers {self.trace.n_keys} keys, "
+                f"scenario has {n_keys}"
+            )
 
-        return TraceQueryWorkload(self, zipf, rng)
+    def build(self, zipf, rng):
+        """A :class:`~repro.fastsim.workload.TraceWorkload` replaying
+        the trace on either engine."""
+        from repro.fastsim.workload import TraceWorkload
 
-    def build_batch(self, zipf, rng):
-        from repro.workloads.adapters import BatchTraceWorkload
-
-        return BatchTraceWorkload(self, zipf, rng)
+        return TraceWorkload(self, zipf, rng)
 
 
 @dataclass(frozen=True)
@@ -434,6 +440,10 @@ class Composite(WorkloadModel):
 
     def boundary_at(self, at: float) -> bool:
         return any(m.boundary_at(at) for m in self.models)
+
+    def check_keys(self, n_keys: int) -> None:
+        for model in self.models:
+            model.check_keys(n_keys)
 
     def apply(self, at, mapping, rng):
         for model in self.models:

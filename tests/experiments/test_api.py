@@ -103,6 +103,19 @@ class TestSpecsAndRegistry:
             ExperimentParams(scale=0.0)
         with pytest.raises(ParameterError):
             ExperimentParams(seed=1.5)  # type: ignore[arg-type]
+        for bad in (
+            {"duration": float("nan")},
+            {"duration": float("inf")},
+            {"seed": -1},
+            {"scale": float("nan")},
+            {"scale": float("inf")},
+        ):
+            with pytest.raises(ParameterError):
+                ExperimentParams(**bad)
+            # The same inputs through the front door: a ParameterError,
+            # not a numpy ValueError or an OverflowError mid-run.
+            with pytest.raises(ParameterError):
+                run("sim", engine="vectorized", store="none", **bad)
 
 
 class TestCapabilityGating:

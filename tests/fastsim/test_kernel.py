@@ -14,11 +14,11 @@ from repro.fastsim.kernel import (
     PerOpCosts,
     run_fastsim,
 )
-from repro.fastsim.workload import BatchShuffledZipfWorkload
 from repro.analysis.zipf import ZipfDistribution
 from repro.net.churn import ChurnConfig
 from repro.pdht.config import PdhtConfig
 from repro.sim.metrics import MessageCategory
+from repro.workloads import RankSwap
 
 
 class TestPerOpCosts:
@@ -159,9 +159,7 @@ class TestSelectionDynamics:
         with pytest.raises(ParameterError):
             FastSimKernel(
                 small_params,
-                workload=BatchShuffledZipfWorkload(
-                    workload_zipf, rng, shift_time=1.0
-                ),
+                workload=RankSwap(shift_time=1.0).build(workload_zipf, rng),
             )
 
 
@@ -210,8 +208,8 @@ class TestOtherStrategies:
 class TestShiftsAndChurn:
     def test_hit_rate_collapses_and_recovers_on_shift(self, small_params):
         zipf = ZipfDistribution(small_params.n_keys, small_params.alpha)
-        workload = BatchShuffledZipfWorkload(
-            zipf, np.random.default_rng(9), shift_time=300.0
+        workload = RankSwap(shift_time=300.0).build(
+            zipf, np.random.default_rng(9)
         )
         report = run_fastsim(
             small_params,

@@ -21,12 +21,9 @@ import pytest
 
 from repro.analysis.zipf import ZipfDistribution
 from repro.experiments.scenario import simulation_scenario
-from repro.fastsim import (
-    BatchFlashCrowdWorkload,
-    BatchShuffledZipfWorkload,
-    run_fastsim,
-)
+from repro.fastsim import run_fastsim
 from repro.pdht.config import PdhtConfig
+from repro.workloads import FlashCrowd, RankSwap, model_from_name
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned_reports.json").read_text()
@@ -85,11 +82,11 @@ def test_strategies_bit_identical_to_pre_batching_kernel(
 
 
 def test_shuffled_workload_bit_identical(params, config):
+    """The ``rank-swap`` preset (shift at half the duration) reproduces
+    the shuffled capture."""
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    workload = BatchShuffledZipfWorkload(
-        zipf,
-        np.random.default_rng(np.random.SeedSequence(99)),
-        shift_time=60.0,
+    workload = model_from_name("rank-swap", DURATION).build(
+        zipf, np.random.default_rng(np.random.SeedSequence(99))
     )
     report = run_fastsim(
         params,
@@ -105,11 +102,9 @@ def test_shuffled_workload_bit_identical(params, config):
 def test_rank_swap_model_bit_identical_to_shuffled_pin(params, config):
     """ISSUE 5 acceptance: the `RankSwap` workload model reproduces the
     pre-change shift path bit for bit — same pinned report as the
-    historical `BatchShuffledZipfWorkload` capture."""
-    from repro.workloads import RankSwap
-
+    historical shuffled-workload capture."""
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    workload = RankSwap(shift_time=60.0).build_batch(
+    workload = RankSwap(shift_time=60.0).build(
         zipf, np.random.default_rng(np.random.SeedSequence(99))
     )
     report = run_fastsim(
@@ -124,11 +119,11 @@ def test_rank_swap_model_bit_identical_to_shuffled_pin(params, config):
 
 
 def test_flash_crowd_workload_bit_identical(params, config):
+    """A permanent `FlashCrowd` (tail key promoted at t=60, never
+    demoted) reproduces the flash-crowd capture."""
     zipf = ZipfDistribution(params.n_keys, params.alpha)
-    workload = BatchFlashCrowdWorkload(
-        zipf,
-        np.random.default_rng(np.random.SeedSequence(99)),
-        crowd_time=60.0,
+    workload = FlashCrowd(at=60.0).build(
+        zipf, np.random.default_rng(np.random.SeedSequence(99))
     )
     report = run_fastsim(
         params,

@@ -31,8 +31,9 @@ from repro.fastsim.shm import (
     leaked_segments,
     restore_arrays,
 )
-from repro.fastsim.workload import BatchZipfWorkload
+from repro.fastsim.workload import ModelWorkload
 from repro.pdht.config import PdhtConfig
+from repro.workloads import StationaryZipf
 
 # Large enough that the Zipf tables and rank->key mapping clear
 # MIN_SHARE_BYTES (20k keys * 8 bytes = 160 KB per table); structural
@@ -64,12 +65,12 @@ def build_jobs(params, config):
     ]
 
 
-class CrashingWorkload(BatchZipfWorkload):
+class CrashingWorkload(ModelWorkload):
     """Module-level (hence picklable) workload that dies mid-run, with a
     payload big enough to guarantee a shared segment exists to clean."""
 
     def __init__(self, zipf, rng):
-        super().__init__(zipf, rng)
+        super().__init__(StationaryZipf(), zipf, rng)
         self.ballast = np.zeros(2 * MIN_SHARE_BYTES, dtype=np.uint8)
 
     def draw_rounds(self, start, counts, out=None):

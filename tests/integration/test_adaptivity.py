@@ -12,7 +12,7 @@ from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.pdht.config import PdhtConfig
 from repro.pdht.strategies import PartialSelectionStrategy
-from repro.workload.queries import FlashCrowdWorkload, ShuffledZipfWorkload
+from repro.workloads import FlashCrowd, RankSwap
 
 pytestmark = pytest.mark.slow
 
@@ -33,10 +33,9 @@ class TestDistributionShift:
         config = PdhtConfig.from_scenario(params, walkers=8)
         strategy = PartialSelectionStrategy(params, config=config, seed=3)
         shift_at = 150.0
-        strategy.workload = ShuffledZipfWorkload(
+        strategy.workload = RankSwap(shift_time=shift_at).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("shifted"),
-            shift_time=shift_at,
         )
         report = strategy.run(300.0, window=50.0)
         rates = dict(report.hit_rate_series)
@@ -51,10 +50,9 @@ class TestDistributionShift:
         # The old hot keys must eventually time out rather than accumulate.
         config = PdhtConfig.from_scenario(params, walkers=8)
         strategy = PartialSelectionStrategy(params, config=config, seed=5)
-        strategy.workload = ShuffledZipfWorkload(
+        strategy.workload = RankSwap(shift_time=100.0).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("shifted2"),
-            shift_time=100.0,
         )
         report = strategy.run(250.0, window=50.0)
         sizes = [s for _, s in report.index_size_series]
@@ -66,11 +64,9 @@ class TestFlashCrowd:
         config = PdhtConfig.from_scenario(params, walkers=8)
         strategy = PartialSelectionStrategy(params, config=config, seed=7)
         crowd_at = 60.0
-        workload = FlashCrowdWorkload(
+        workload = FlashCrowd(at=crowd_at, cold_rank=params.n_keys).build(
             ZipfDistribution(params.n_keys, params.alpha),
             strategy.network.streams.get("crowd"),
-            crowd_time=crowd_at,
-            cold_rank=params.n_keys,
         )
         strategy.workload = workload
         promoted_key = strategy.key_name(workload.key_for_rank(params.n_keys))

@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
 from repro.workload.queries import QueryEvent
 from repro.workload.trace import QueryTrace
@@ -130,6 +131,19 @@ class TestFlashCrowd:
             FlashCrowd(at=0.0, cold_rank=99).apply(
                 0.0, _identity(), np.random.default_rng(0)
             )
+
+    def test_cold_rank_checked_against_the_universe_at_build(self):
+        # A cold rank beyond the key universe fails when the stream is
+        # built, not at the first draw after the crowd arrives.
+        zipf = ZipfDistribution(500, 1.2)
+        rng = np.random.default_rng(0)
+        for model in (
+            FlashCrowd(at=5.0, cold_rank=10**6),
+            Composite((GradualDrift(), FlashCrowd(at=5.0, cold_rank=501))),
+        ):
+            with pytest.raises(ParameterError, match="cold_rank"):
+                model.build(zipf, rng)
+        FlashCrowd(at=5.0, cold_rank=500).build(zipf, rng)
 
 
 class TestDiurnalCycle:
