@@ -148,13 +148,23 @@ class ScenarioParameters:
 
         Scaling both by the same factor preserves the keys/peer ratio and
         thus every structural property the model consumes; it is how the
-        reduced-scale simulation presets are derived from Table 1.
+        reduced-scale simulation presets are derived from Table 1. A
+        factor that leaves fewer peers than ``replication`` is refused
+        (for Table 1 the smallest legal factor is 0.0025) rather than
+        clamped into a degenerate scenario.
         """
         if factor <= 0:
             raise ParameterError(f"scale factor must be > 0, got {factor}")
+        num_peers = int(round(self.num_peers * factor))
+        if num_peers < self.replication:
+            raise ParameterError(
+                f"scale factor {factor} leaves {num_peers} peers, fewer "
+                f"than replication={self.replication}; the smallest legal "
+                f"factor is {self.replication / self.num_peers:g}"
+            )
         return replace(
             self,
-            num_peers=max(self.replication, int(round(self.num_peers * factor))),
+            num_peers=num_peers,
             n_keys=max(1, int(round(self.n_keys * factor))),
         )
 

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
 
 from repro import obs
-from repro.obs import events as obs_events
 from repro.obs.clock import perf_counter
 from repro.analysis.parameters import ScenarioParameters
 from repro.errors import CapabilityError, ParameterError
@@ -608,8 +607,9 @@ def _execute(
         seeds = tuple(base_seed + i for i in range(replicates))
         # One builder invocation per seed. The seeds are independent, so
         # jobs > 1 fans them over a process pool (each child context runs
-        # its own units sequentially — no nested pools); jobs=1 keeps the
-        # historical in-process loop.
+        # its own units sequentially — no nested pools); jobs=1 runs them
+        # in-process. Worker telemetry folds in under the caller's span
+        # (experiment.run), matching the in-process nesting.
         contexts = [
             replace(
                 ctx,
@@ -635,43 +635,17 @@ def _execute(
                         json.dumps(payload)
                     )
         pending = [i for i, fig in enumerate(figures_by_seed) if fig is None]
-        workers = _resolve_worker_count(ctx.jobs)
         done = len(contexts) - len(pending)
         obs.progress("experiment.replicates", done, total=len(contexts))
-        if workers > 1 and len(pending) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            from functools import partial
+        from repro.fastsim.parallel import fan_out
 
-            collect = obs.enabled()
-            record = collect and obs_events.recording()
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                # Results land per completion (submission order):
-                # snapshots merge re-rooted under the caller's current
-                # span path (experiment.run), matching the sequential
-                # loop's nesting, and worker events re-emit as remote so
-                # a live trace shows per-replicate lanes.
-                for index, (fig, snapshot, worker_events) in zip(
-                    pending,
-                    pool.map(
-                        partial(obs.run_in_worker, _build_in_context),
-                        [(contexts[i], collect, record) for i in pending],
-                    ),
-                ):
-                    figures_by_seed[index] = fig
-                    obs.merge_worker(snapshot, worker_events)
-                    done += 1
-                    obs.progress(
-                        "experiment.replicates", done, total=len(contexts)
-                    )
-        else:
-            for index in pending:
-                figures_by_seed[index] = _build_in_context(contexts[index])
-                done += 1
-                obs.progress(
-                    "experiment.replicates", done, total=len(contexts)
-                )
+        runs = fan_out(
+            _build_in_context, [contexts[i] for i in pending], ctx.jobs
+        )
+        for fig, index in zip(runs, pending):
+            figures_by_seed[index] = fig
+            done += 1
+            obs.progress("experiment.replicates", done, total=len(contexts))
         if store is not None and pending:
             import json
 
@@ -713,12 +687,6 @@ def _replicate_inputs(ctx: "ExperimentContext") -> dict[str, object]:
         "scenario": ctx.scenario,
         "params": params,
     }
-
-
-def _resolve_worker_count(jobs: int) -> int:
-    from repro.fastsim.parallel import resolve_worker_count
-
-    return resolve_worker_count(jobs)
 
 
 def _build_in_context(ctx: ExperimentContext) -> FigureSeries:

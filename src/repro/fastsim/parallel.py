@@ -16,6 +16,10 @@ embarrassingly parallel. This module fans a list of picklable
 * ``jobs=1`` bypasses the pool entirely (same results, no fork cost) and
   ``jobs=0`` means one worker per CPU.
 
+:func:`fan_out` is the repo's one process-pool fan-out — :func:`run_many`
+and the experiment API's replicate seeds both go through it (lint rule
+RL108 keeps ``ProcessPoolExecutor`` in this module).
+
 Everything in a job spec must pickle: :class:`ScenarioParameters`,
 :class:`PdhtConfig`, :class:`PerOpCosts`, :class:`ChurnOpCosts` and
 :class:`ChurnConfig` are frozen dataclasses and
@@ -30,10 +34,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro import obs
-from repro.obs import events as obs_events
 from repro.analysis.parameters import ScenarioParameters
 from repro.analysis.zipf import ZipfDistribution
 from repro.errors import ParameterError
@@ -52,6 +55,7 @@ from repro.pdht.config import PdhtConfig
 
 __all__ = [
     "FastSimJob",
+    "fan_out",
     "job_key",
     "pack_jobs",
     "resolve_jobs",
@@ -113,6 +117,38 @@ def resolve_worker_count(jobs: int) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
+
+
+def fan_out(
+    fn: Callable[[Any], Any], args: Sequence[Any], workers: int
+) -> Iterator[Any]:
+    """Yield ``fn(arg)`` for every arg, in order, as each result lands.
+
+    ``workers`` follows the ``--jobs`` convention
+    (:func:`resolve_worker_count`). With one worker or at most one arg
+    everything runs in-process; otherwise ``fn`` runs in a
+    ``ProcessPoolExecutor`` through :func:`repro.obs.run_in_worker`, and
+    each worker's events are folded into the parent with
+    :func:`repro.obs.merge_worker` as its result lands — re-rooted under
+    the caller's current span, so iterate inside the span that fans the
+    work out. The pool shuts down when the iterator is exhausted or
+    closed. ``fn`` and every arg must pickle.
+    """
+    workers = resolve_worker_count(workers)
+    if workers <= 1 or len(args) <= 1:
+        for arg in args:
+            yield fn(arg)
+        return
+    collect = obs.enabled()
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        # ``pool.map`` yields results in submission order as they land,
+        # so the caller's progress and store writes happen per job
+        # instead of all at pool shutdown.
+        for result, events in pool.map(
+            partial(obs.run_in_worker, fn), [(arg, collect) for arg in args]
+        ):
+            obs.merge_worker(events)
+            yield result
 
 
 def resolve_jobs(jobs: Sequence[FastSimJob]) -> list[FastSimJob]:
@@ -245,10 +281,11 @@ def run_many(
 
     ``workers`` follows the CLI ``--jobs`` convention: ``1`` runs
     sequentially in-process (no pool, caches stay warm for the caller),
-    ``0`` uses one worker per CPU, ``N > 1`` uses a process pool of N.
-    Costs are resolved in the parent first (:func:`resolve_jobs`) either
-    way, so sequential and parallel execution charge identical costs and
-    produce identical seeded reports.
+    ``0`` uses one worker per CPU, ``N > 1`` uses a process pool of N
+    (:func:`fan_out`). Costs are resolved in the parent first
+    (:func:`resolve_jobs`) either way, so sequential and parallel
+    execution charge identical costs and produce identical seeded
+    reports.
 
     ``shared_memory=True`` stages each pending job's large workload
     arrays into ``multiprocessing.shared_memory`` segments
@@ -260,36 +297,32 @@ def run_many(
     The segments live exactly as long as the pool: they are unlinked in
     a ``finally`` even when a worker crashes. Purely an execution
     detail — job artifact keys are computed before packing and do not
-    change. Ignored on the sequential path (nothing to ship).
+    change. Applied only when the pool engages (nothing to ship
+    in-process).
 
     ``store`` (default: the process-wide active store, see
     :mod:`repro.store`) makes the fan-out *resumable*: each resolved
     job is content-keyed (:func:`job_key`), jobs whose report is
     already on disk are loaded instead of run, only the misses execute,
-    and every fresh report is saved before the merged, job-ordered list
-    returns. An interrupted sweep rerun therefore recomputes zero
-    completed cells, and any input change (params, seed, costs,
-    workload state, code version) re-keys — and thus recomputes —
-    exactly the affected cells. ``cache.store.sweep_cell.hit/.miss``
-    counters make resumption observable.
+    and every fresh report is saved as it lands. An interrupted sweep
+    rerun therefore recomputes zero completed cells, and any input
+    change (params, seed, costs, workload state, code version) re-keys
+    — and thus recomputes — exactly the affected cells.
+    ``cache.store.sweep_cell.hit/.miss`` counters make resumption
+    observable.
 
     When telemetry is enabled (:func:`repro.obs.enable`), every pool
-    worker's collector snapshot rides back with its report and is merged
-    into the parent's collector — one profile for the whole fan-out,
-    including per-worker peak-RSS gauges. Merging is duplicate-safe, so
-    the fold is insensitive to delivery order.
-
-    When a flight-recorder sink is also installed
-    (:func:`repro.obs.events.set_sink`), the fan-out reports
-    ``parallel.jobs`` progress per completed job and each worker ships
-    its own event ring back with the result; the parent re-emits those
-    events marked ``remote`` so trace exports get per-worker lanes while
-    replay still counts each measurement exactly once (via the snapshot
-    merge).
+    worker's recorded events ride back with its report and are folded
+    into the parent's collector, re-rooted under ``parallel.run_many``
+    — one profile for the whole fan-out, shaped like the sequential
+    one, including per-worker peak-RSS gauges. The parent re-emits
+    those events, marked ``remote``, to an installed flight-recorder
+    sink (:func:`repro.obs.events.set_sink`), so trace exports get
+    per-worker lanes and replay counts each measurement once. The
+    fan-out also reports ``parallel.jobs`` progress per completed job.
     """
     workers = resolve_worker_count(workers)
     resolved = resolve_jobs(jobs)
-    telemetry = obs.enabled()
     if store is None:
         from repro.store.store import active_store
 
@@ -302,68 +335,36 @@ def run_many(
             keys[index] = job_key(job)
             reports[index] = store.load_report(keys[index])
     pending = [i for i, report in enumerate(reports) if report is None]
+    pooled = workers > 1 and len(pending) > 1
 
-    def _finish(index: int, report: FastSimReport) -> None:
-        reports[index] = report
-        if store is not None:
-            store.save_report(keys[index] or job_key(resolved[index]), report)
-
-    done = len(resolved) - len(pending)
-    if workers == 1 or len(pending) <= 1:
-        with obs.span(
-            "parallel.run_many",
-            jobs=len(resolved),
-            cached=len(resolved) - len(pending),
-            workers=1,
-        ):
-            obs.progress("parallel.jobs", done, total=len(resolved))
-            for index in pending:
-                _finish(index, resolved[index].run())
-                done += 1
-                obs.progress("parallel.jobs", done, total=len(resolved))
-        if telemetry:
-            obs.sample_peak_rss("worker")
-        return reports  # type: ignore[return-value]
     entry = _run_job
-    record = telemetry and obs_events.recording()
     shipped: list[FastSimJob] = [resolved[i] for i in pending]
     arena: Optional[shm.ShmArena] = None
-    if shared_memory:
+    if shared_memory and pooled:
         arena = shm.ShmArena()
         shipped = pack_jobs(shipped, arena)
         entry = _run_shared_job
+    done = len(resolved) - len(pending)
     try:
         with obs.span(
             "parallel.run_many",
             jobs=len(resolved),
-            cached=len(resolved) - len(pending),
-            workers=min(workers, len(pending)),
-            shared_memory=bool(shared_memory),
+            cached=done,
+            workers=min(workers, len(pending)) if pooled else 1,
+            shared_memory=arena is not None,
         ):
             obs.progress("parallel.jobs", done, total=len(resolved))
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                # ``pool.map`` yields each result as it lands (submission
-                # order), so progress/merge/remote-event handling happens
-                # per completion — a live renderer ticks per job instead
-                # of jumping 0 -> all at pool shutdown. Merging inside
-                # the span re-roots worker spans under it: the pooled
-                # profile nests exactly like the sequential one.
-                for index, (report, snapshot, worker_events) in zip(
-                    pending,
-                    pool.map(
-                        partial(obs.run_in_worker, entry),
-                        [(job, telemetry, record) for job in shipped],
-                    ),
-                ):
-                    _finish(index, report)
-                    obs.merge_worker(snapshot, worker_events)
-                    done += 1
-                    obs.progress(
-                        "parallel.jobs", done, total=len(resolved)
-                    )
+            for report, index in zip(
+                fan_out(entry, shipped, workers), pending
+            ):
+                reports[index] = report
+                if store is not None:
+                    store.save_report(keys[index], report)
+                done += 1
+                obs.progress("parallel.jobs", done, total=len(resolved))
     finally:
         if arena is not None:
             arena.close()
+    if not pooled:
+        obs.sample_peak_rss("worker")
     return reports  # type: ignore[return-value]

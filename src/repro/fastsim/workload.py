@@ -244,6 +244,16 @@ class ModelWorkload(BatchWorkload):
     def rate_multiplier(self, now: float) -> float:
         return self.model.rate_multiplier(now)
 
+    def __store_key__(self) -> dict:
+        """Artifact-key identity: the instance state, with a boundary
+        that never comes (``inf``, which JSON cannot carry) as ``None``.
+        A finite boundary keys exactly as the plain ``__dict__`` would.
+        """
+        state = dict(vars(self))
+        if math.isinf(self._next):
+            state["_next"] = None
+        return state
+
     def rate_multipliers(self, start: float, rounds: int) -> np.ndarray | None:
         times = start + 1.0 + np.arange(rounds, dtype=float)
         return self.model.rate_multipliers(times)

@@ -1,4 +1,4 @@
-"""The repo's invariant catalog, as executable rules RL101-RL107.
+"""The repo's invariant catalog, as executable rules RL101-RL108.
 
 Each rule encodes one cross-cutting invariant prior PRs established by
 convention; the class docstring is the rationale ``--explain`` prints.
@@ -14,6 +14,7 @@ RL104    identity-leak                 params reach the key or are EXECUTION_ONL
 RL105    shm-unlink-in-finally         shm segments cannot leak on any path
 RL106    uncounted-lru-cache           caches report through ``counted_cache``
 RL107    span-naming                   obs names follow ``segment(.segment)*``
+RL108    single-process-pool           ``ProcessPoolExecutor`` only in ``parallel``
 =======  ============================  =========================================
 """
 
@@ -39,6 +40,7 @@ __all__ = [
     "ShmUnlinkInFinally",
     "UncountedLruCache",
     "SpanNaming",
+    "SingleProcessPool",
 ]
 
 
@@ -714,3 +716,52 @@ class SpanNaming(Rule):
             if keyword.arg == "name":
                 return keyword.value, allow_slash
         return None
+
+
+# ---------------------------------------------------------------------
+# RL108
+# ---------------------------------------------------------------------
+@register_rule
+class SingleProcessPool(Rule):
+    """The repo has one process-pool fan-out: ``fastsim.parallel.fan_out``.
+
+    Worker telemetry, in-order result delivery, and the in-process
+    shortcut for one worker all live in that one loop; a second
+    ``ProcessPoolExecutor`` elsewhere in ``src/repro`` would be a second
+    copy of it to keep in step (an earlier duplicate in the experiment
+    API did exactly that). Fan work out with
+    ``repro.fastsim.parallel.fan_out(fn, args, workers)`` instead.
+    """
+
+    id = "RL108"
+    name = "single-process-pool"
+    summary = (
+        "ProcessPoolExecutor outside src/repro/fastsim/parallel.py; use "
+        "repro.fastsim.parallel.fan_out"
+    )
+    ok_example = (
+        "from repro.fastsim.parallel import fan_out\n"
+        "figures = list(fan_out(build, contexts, workers))"
+    )
+    bad_example = (
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "with ProcessPoolExecutor(4) as pool: ..."
+    )
+
+    _CLASS = "ProcessPoolExecutor"
+
+    def scope(self, path: str) -> bool:
+        return (
+            _in_src_repro(path) and path != "src/repro/fastsim/parallel.py"
+        )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom, ctx: FileContext) -> None:
+        if not (node.module or "").startswith("concurrent.futures"):
+            return
+        for alias in node.names:
+            if alias.name == self._CLASS:
+                ctx.report(self, node)
+
+    def visit_Attribute(self, node: ast.Attribute, ctx: FileContext) -> None:
+        if node.attr == self._CLASS:
+            ctx.report(self, node)

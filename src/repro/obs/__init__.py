@@ -14,13 +14,13 @@ cells) starts accumulating into one process-global :class:`Collector`::
     obs.count("cache.churn_costs.hit")
     print(obs.profile_text(obs.collector()))
 
-Worker processes (``fastsim.parallel.run_many``, experiment replicates)
-run each task through :func:`run_in_worker`, which ships the task's
-:meth:`Collector.snapshot` and recorded events back with its result;
-the parent folds them in with :func:`merge_worker` (order-independent,
-duplicate-safe) so a parallel sweep reports a single profile. ``ExperimentResult.telemetry`` and the
-runner's ``--profile`` flag surface the same data; ``benchmarks/record.py``
-persists the trajectory.
+Worker processes (``fastsim.parallel.fan_out``: ``run_many`` and
+experiment replicates) run each task through :func:`run_in_worker`,
+which ships the events the task recorded back with its result; the
+parent folds them in with :func:`merge_worker`, so a parallel sweep
+reports a single profile. The event stream is the one worker channel.
+``ExperimentResult.telemetry`` and the runner's ``--profile`` flag
+surface the same data; ``benchmarks/record.py`` persists the trajectory.
 
 The *live* half is the flight recorder (:mod:`repro.obs.events`): install
 a sink (``events.set_sink`` / ``REPRO_OBS_EVENTS=path``) and every
@@ -41,7 +41,6 @@ from repro.obs.collector import (
     enable,
     enabled,
     gauge_max,
-    merge_snapshot,
     merge_worker,
     peak_rss_bytes,
     reset_span_stack,
@@ -77,7 +76,6 @@ __all__ = [
     "count",
     "gauge_max",
     "add_duration",
-    "merge_snapshot",
     "run_in_worker",
     "merge_worker",
     "peak_rss_bytes",

@@ -15,13 +15,13 @@ Design notes
   repeated entries accumulate ``count`` and ``seconds`` rather than
   producing one record per entry, which keeps a million-round run's
   telemetry O(distinct paths).
-* **Merge semantics.** Snapshots are plain JSON-able dicts stamped with a
-  unique id. Merging sums span counts/durations and counters, takes the
-  max of gauges, and is *duplicate-safe*: a snapshot whose id (or any of
-  whose already-merged ids) was seen before is skipped, so re-delivering
-  a worker's snapshot cannot double-count. This is what lets
-  ``run_many`` fold ProcessPoolExecutor workers' collectors into the
-  parent in any order.
+* **Merge semantics.** Snapshots are plain JSON-able dicts. Merging
+  sums span counts/durations and counters and takes the max of gauges,
+  so folding several collectors is order-independent. Pool workers do
+  not ship snapshots: they ship their recorded events, and the parent
+  folds each one in with :meth:`Collector.apply` (:func:`merge_worker`)
+  — the event stream is the one worker channel, and :func:`replay
+  <repro.obs.export.replay>` is the same fold.
 * **Determinism.** Recording only ever *observes* (wall-clock reads, dict
   updates); it never touches simulation RNG streams, so seeded results
   are bit-identical with telemetry on or off (enforced in
@@ -35,7 +35,6 @@ import os
 import sys
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
@@ -53,7 +52,6 @@ __all__ = [
     "count",
     "gauge_max",
     "add_duration",
-    "merge_snapshot",
     "run_in_worker",
     "merge_worker",
     "peak_rss_bytes",
@@ -63,16 +61,16 @@ __all__ = [
 ]
 
 #: Version stamp carried by every snapshot so future readers can detect
-#: format drift in persisted telemetry blocks.
-SNAPSHOT_SCHEMA = 1
+#: format drift in persisted telemetry blocks. Rev 2 dropped the
+#: ``id``/``merged_ids`` duplicate-merge bookkeeping.
+SNAPSHOT_SCHEMA = 2
 
 
 class Collector:
     """Thread-safe aggregation of spans, counters, and gauges.
 
     A collector is cheap to create; worker processes build a fresh one
-    per job (via :func:`scoped`) and ship its :meth:`snapshot` back with
-    the result.
+    per job (via :func:`scoped`) so a reused worker's tasks stay apart.
     """
 
     def __init__(self) -> None:
@@ -84,8 +82,6 @@ class Collector:
         self._spans: dict[str, list] = {}
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._merged_ids: set[str] = set()
-        self.id = uuid.uuid4().hex
 
     # -- recording -----------------------------------------------------
     def record_span(
@@ -150,17 +146,10 @@ class Collector:
             return dict(self._gauges)
 
     def snapshot(self) -> dict[str, Any]:
-        """A JSON-able copy of this collector's state.
-
-        Carries the collector's unique ``id`` plus the ids of every
-        snapshot already merged into it, so downstream merges stay
-        duplicate-safe even through relays (worker -> sweep -> runner).
-        """
+        """A JSON-able copy of this collector's state."""
         with self._lock:
             return {
                 "schema": SNAPSHOT_SCHEMA,
-                "id": self.id,
-                "merged_ids": sorted(self._merged_ids),
                 "spans": {
                     path: {"count": c, "seconds": s, "attrs": dict(a)}
                     for path, (c, s, a) in self._spans.items()
@@ -171,28 +160,11 @@ class Collector:
 
     to_dict = snapshot
 
-    def merge(self, snapshot: Optional[dict], prefix: str = "") -> bool:
-        """Fold a :meth:`snapshot` dict into this collector.
-
-        Returns ``False`` (and changes nothing) when ``snapshot`` is
-        ``None`` or was already merged — making delivery idempotent and
-        order-independent. A ``prefix`` re-roots the snapshot's span
-        paths (``prefix/path``) so a worker's bare ``kernel.run`` lands
-        where the equivalent in-process run would have recorded it;
-        counters and gauges are process-wide names and merge unprefixed.
-        """
-        if not snapshot:
-            return False
-        snap_id = snapshot.get("id")
+    def merge(self, snapshot: dict) -> None:
+        """Fold a :meth:`snapshot` dict into this collector: span counts
+        and durations and counters sum, gauges keep the maximum."""
         with self._lock:
-            if snap_id is not None:
-                if snap_id in self._merged_ids or snap_id == self.id:
-                    return False
-                self._merged_ids.add(snap_id)
-            self._merged_ids.update(snapshot.get("merged_ids", ()))
             for path, data in snapshot.get("spans", {}).items():
-                if prefix:
-                    path = f"{prefix}/{path}"
                 entry = self._spans.get(path)
                 if entry is None:
                     entry = self._spans[path] = [0, 0.0, {}]
@@ -207,15 +179,34 @@ class Collector:
                 current = self._gauges.get(name)
                 if current is None or value > current:
                     self._gauges[name] = float(value)
-        return True
+
+    def apply(self, event: dict[str, Any]) -> None:
+        """Fold one flight-recorder event into this collector.
+
+        Each aggregate-bearing event goes through the method that
+        recorded it live; ``span_start`` and ``progress`` events carry no
+        aggregate state and are ignored.
+        """
+        kind = event.get("type")
+        if kind == "span_end":
+            self.record_span(
+                event["path"], event["seconds"], event.get("attrs") or None
+            )
+        elif kind == "duration":
+            self.add_duration(
+                event["path"], event["seconds"], event.get("n", 1)
+            )
+        elif kind == "counter":
+            self.count(event["name"], event["n"])
+        elif kind == "gauge":
+            self.gauge_max(event["name"], event["value"])
 
     def clear(self) -> None:
-        """Drop all recorded data (merged-id memory included)."""
+        """Drop all recorded data."""
         with self._lock:
             self._spans.clear()
             self._counters.clear()
             self._gauges.clear()
-            self._merged_ids.clear()
 
     def __bool__(self) -> bool:
         with self._lock:
@@ -380,70 +371,61 @@ def gauge_max(name: str, value: float) -> None:
             _events.emit_event("gauge", name=name, value=float(value))
 
 
-def merge_snapshot(snapshot: Optional[dict]) -> bool:
-    """Merge a worker's snapshot into the active collector, re-rooted.
-
-    The snapshot's span paths are prefixed with the calling thread's
-    current span path, so a pool worker's ``kernel.run`` nests exactly
-    where a sequential in-process run would have recorded it (e.g.
-    ``parallel.run_many/kernel.run``) and profiles keep one shape
-    regardless of worker count. Call this *inside* the span that fanned
-    the work out. No-op while disabled.
-    """
-    if not _enabled:
-        return False
-    prefix = "/".join(_stack())
-    merged = _collector.merge(snapshot, prefix=prefix)
-    if merged and _events._sink is not None:
-        # The merge event carries the full snapshot so replay can apply
-        # the exact same duplicate-safe Collector.merge the live run did.
-        _events.emit_event("merge", prefix=prefix, snapshot=snapshot)
-    return merged
-
-
 def run_in_worker(
-    fn: Callable[[Any], Any], payload: tuple[Any, bool, bool]
-) -> tuple[Any, Optional[dict[str, Any]], Optional[list[dict[str, Any]]]]:
-    """Pool-worker side of telemetry shipping: ``fn(arg)`` plus its
-    telemetry, returned by value as ``(result, snapshot, events)``.
+    fn: Callable[[Any], Any], payload: tuple[Any, bool]
+) -> tuple[Any, list[dict[str, Any]]]:
+    """Pool-worker side of telemetry shipping: ``fn(arg)`` plus the
+    events it recorded, returned by value as ``(result, events)``.
 
-    ``payload`` is ``(arg, collect, record)``. The collect/record flags
-    travel with it because pool workers may be fresh processes (spawn)
-    that do not inherit the parent's module state. Each call records
-    into its own scoped collector — pool workers are *reused*, so
-    recording into the worker's global collector would leak one task's
-    spans into the next task's snapshot and double-count on merge.
-    Flight-recorder events likewise go to a per-call ring; the sink is
+    ``payload`` is ``(arg, collect)``; the flag travels with it because
+    pool workers may be fresh processes (spawn) that do not inherit the
+    parent's module state. The events are the worker's only telemetry
+    channel, so they go to an unbounded per-call list — a bounded ring
+    would silently drop aggregates. Each call records into its own
+    scoped collector, since pool workers are *reused*. The sink is
     replaced *unconditionally* because ``fork``-started workers inherit
-    the parent's sink (shared file descriptor, parent pid stamp), and
-    the first heartbeat would otherwise write through it. Bind ``fn``
-    with :func:`functools.partial` to get a picklable pool entry point.
+    the parent's sink (shared file descriptor, parent pid stamp). Bind
+    ``fn`` with :func:`functools.partial` to get a picklable pool entry
+    point.
     """
-    arg, collect, record = payload
-    sink = _events.RingBufferSink() if record else None
+    arg, collect = payload
+    sink = _events.RingBufferSink(capacity=None) if collect else None
     _events.set_sink(sink)
     try:
-        if not collect:
-            return fn(arg), None, None
+        if sink is None:
+            return fn(arg), []
         enable()
         reset_span_stack()
-        with scoped(merge_into_parent=False) as local:
+        with scoped(merge_into_parent=False):
             result = fn(arg)
             sample_peak_rss("worker")
-            snapshot = local.snapshot()
-        return result, snapshot, sink.events() if sink else None
+        return result, sink.events()
     finally:
         _events.set_sink(None)
 
 
-def merge_worker(
-    snapshot: Optional[dict], events: Optional[list[dict[str, Any]]]
-) -> None:
-    """Parent side of :func:`run_in_worker`: merge the snapshot
-    (re-rooted, see :func:`merge_snapshot`) and re-emit the events as
-    remote. Call it inside the span that fanned the work out."""
-    merge_snapshot(snapshot)
-    _events.emit_remote(events)
+def merge_worker(events: list[dict[str, Any]]) -> None:
+    """Parent side of :func:`run_in_worker`: fold a worker's events into
+    the active collector and re-emit them to the installed sink.
+
+    Each event is marked ``remote: True`` and its span ``path`` is
+    prefixed with the calling thread's current span path, so a pool
+    worker's ``kernel.run`` nests exactly where a sequential in-process
+    run would have recorded it (e.g. ``parallel.run_many/kernel.run``)
+    and profiles keep one shape regardless of worker count. Call this
+    *inside* the span that fanned the work out. No-op while disabled.
+    """
+    if not _enabled:
+        return
+    prefix = "/".join(_stack())
+    sink = _events._sink
+    for event in events:
+        event = {**event, "remote": True}
+        if prefix and "path" in event:
+            event["path"] = f"{prefix}/{event['path']}"
+        _collector.apply(event)
+        if sink is not None:
+            sink.emit(event)
 
 
 def add_duration(name: str, seconds: float, n: int = 1) -> None:

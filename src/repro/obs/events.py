@@ -4,11 +4,11 @@
 each span path accumulated, never *when*. The flight recorder is the
 live half: while a sink is installed (:func:`set_sink` /
 ``REPRO_OBS_EVENTS=path``), every span entry/exit, counter increment,
-gauge sample, hot-loop duration report, worker-snapshot merge, and
-progress heartbeat is also emitted as one structured event the moment it
-happens. A long sweep becomes observable while it runs, a killed run
-keeps everything it recorded up to the signal, and the stream is rich
-enough to *reconstruct* the end-of-run snapshot exactly
+gauge sample, hot-loop duration report, and progress heartbeat is also
+emitted as one structured event the moment it happens. A long sweep
+becomes observable while it runs, a killed run keeps everything it
+recorded up to the signal, and the stream is rich enough to
+*reconstruct* the end-of-run snapshot exactly
 (:func:`repro.obs.export.replay`) and to render a Chrome trace with
 per-worker lanes (:func:`repro.obs.export.chrome_trace`).
 
@@ -29,15 +29,16 @@ Design decisions:
   being written; :func:`read_events` recovers by dropping a truncated
   final line (and only the final line — mid-file corruption still
   raises).
-* **Workers ship events by value.** Pool workers record into a
-  :class:`RingBufferSink` and return the events with their result; the
-  parent re-emits them via :func:`emit_remote` with ``remote: True`` so
-  replay skips them (their aggregate contribution arrives through the
-  duplicate-safe snapshot merge instead) while trace export keeps them
-  as per-worker lanes.
+* **Workers ship events by value.** Pool workers record into an
+  unbounded :class:`RingBufferSink` and return the events with their
+  result; the parent folds them into its collector and re-emits them
+  with ``remote: True`` and re-rooted span paths
+  (:func:`repro.obs.merge_worker`). The stream is the one worker
+  channel: replay counts every event once, and trace export uses
+  ``remote``/``pid`` only to draw per-worker lanes.
 
 Event types: ``span_start``, ``span_end``, ``duration``, ``counter``,
-``gauge``, ``merge``, ``progress``.
+``gauge``, ``progress``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "set_sink",
     "recorded",
     "emit_event",
-    "emit_remote",
     "read_events",
 ]
 
@@ -75,13 +75,14 @@ class EventSink(Protocol):
 class RingBufferSink:
     """Keep the last ``capacity`` events in memory (tests, exports).
 
-    Worker processes also record into one of these and ship
-    :meth:`events` back with their result — a bounded buffer, so a
-    runaway event source degrades to losing the oldest events instead of
-    exhausting memory.
+    Bounded by default, so a runaway event source degrades to losing the
+    oldest events instead of exhausting memory. ``capacity=None`` keeps
+    every event: pool workers record into such a sink and ship
+    :meth:`events` back with their result, where a dropped event would
+    be a lost aggregate.
     """
 
-    def __init__(self, capacity: int = 1 << 16) -> None:
+    def __init__(self, capacity: Optional[int] = 1 << 16) -> None:
         self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
 
     def emit(self, event: dict[str, Any]) -> None:
@@ -193,21 +194,6 @@ def emit_event(event_type: str, **fields: Any) -> None:
     }
     event.update(fields)
     sink.emit(event)
-
-
-def emit_remote(events: Optional[list[dict[str, Any]]]) -> None:
-    """Re-emit a worker's shipped events, marked ``remote: True``.
-
-    Remote events exist for the trace (per-worker lanes) and the live
-    stream; :func:`repro.obs.export.replay` skips them because the same
-    measurements arrive in aggregate through the worker's snapshot merge
-    — emitting them unmarked would double-count on replay.
-    """
-    sink = _sink
-    if sink is None or not events:
-        return
-    for event in events:
-        sink.emit({**event, "remote": True})
 
 
 def read_events(path: os.PathLike | str) -> list[dict[str, Any]]:

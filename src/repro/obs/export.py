@@ -41,41 +41,16 @@ __all__ = [
 def replay(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Rebuild a collector snapshot from a recorded event stream.
 
-    Applies each aggregate-bearing event to a fresh
-    :class:`~repro.obs.collector.Collector` through the same methods the
-    live run used — ``merge`` events in particular go through the
-    duplicate-safe :meth:`~repro.obs.collector.Collector.merge`, so a
-    stream that recorded a snapshot twice replays without
-    double-counting. Events marked ``remote`` (worker events re-emitted
-    by the parent) are skipped: their aggregate contribution arrives via
-    the worker's ``merge`` event, exactly as it did live.
-    ``span_start``/``progress`` events carry no aggregate state and are
-    ignored. Returns a snapshot-shaped dict (pass it to
+    A plain fold: every event goes through
+    :meth:`~repro.obs.collector.Collector.apply` on a fresh collector —
+    the same fold the live parent applies to pool workers' shipped
+    events, which arrive in the stream already re-rooted and marked
+    ``remote``. Returns a snapshot-shaped dict (pass it to
     :func:`~repro.obs.profile.profile_data` / ``profile_text``).
     """
     collector = Collector()
     for event in events:
-        if event.get("remote"):
-            continue
-        kind = event.get("type")
-        if kind == "span_end":
-            collector.record_span(
-                event["path"],
-                event["seconds"],
-                event.get("attrs") or None,
-            )
-        elif kind == "duration":
-            collector.add_duration(
-                event["path"], event["seconds"], event.get("n", 1)
-            )
-        elif kind == "counter":
-            collector.count(event["name"], event["n"])
-        elif kind == "gauge":
-            collector.gauge_max(event["name"], event["value"])
-        elif kind == "merge":
-            collector.merge(
-                event["snapshot"], prefix=event.get("prefix", "")
-            )
+        collector.apply(event)
     return collector.snapshot()
 
 

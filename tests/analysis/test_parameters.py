@@ -119,8 +119,10 @@ class TestTransforms:
 
     def test_scaled_keeps_replication_feasible(self):
         p = ScenarioParameters.paper_scenario()
-        s = p.scaled(0.001)  # would be 20 peers < repl 50
-        assert s.num_peers >= s.replication
+        with pytest.raises(ParameterError, match="0.0025"):
+            p.scaled(0.001)  # would be 20 peers < repl 50
+        smallest = p.scaled(0.0025)
+        assert smallest.num_peers == smallest.replication == 50
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ParameterError):

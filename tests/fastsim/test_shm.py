@@ -9,7 +9,9 @@ crashes included).
 
 from __future__ import annotations
 
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -75,6 +77,13 @@ class CrashingWorkload(ModelWorkload):
 
     def draw_rounds(self, start, counts, out=None):
         raise RuntimeError("worker crash (intentional, from the test)")
+
+
+class KilledWorkload(CrashingWorkload):
+    """Kills its worker process outright — no exception, no cleanup."""
+
+    def draw_rounds(self, start, counts, out=None):
+        os._exit(1)
 
 
 class TestShmArena:
@@ -234,3 +243,37 @@ class TestRunManyShared:
         with pytest.raises(RuntimeError, match="worker crash"):
             run_many(jobs, workers=2, shared_memory=True)
         assert leaked_segments() == []
+
+    def test_killed_worker_leaves_store_and_shm_consistent(
+        self, params, config, tmp_path
+    ):
+        from repro.analysis.zipf import ZipfDistribution
+        from repro.store import Store
+
+        zipf = ZipfDistribution(params.n_keys, params.alpha)
+        killed = FastSimJob(
+            params=params,
+            seed=9,
+            duration=DURATION,
+            workload=KilledWorkload(zipf, np.random.default_rng(9)),
+        )
+        with Store(tmp_path / "artifacts.sqlite") as store:
+            with pytest.raises(BrokenProcessPool):
+                run_many(
+                    build_jobs(params, config) + [killed],
+                    workers=2,
+                    shared_memory=True,
+                    store=store,
+                )
+            assert leaked_segments() == []
+            # Whatever landed before the kill is served from the store;
+            # the rest recomputes — either way the same reports.
+            resumed = run_many(
+                build_jobs(params, config), workers=1, store=store
+            )
+        fresh = run_many(build_jobs(params, config), store=None)
+        for a, b in zip(resumed, fresh):
+            left, right = a.to_dict(), b.to_dict()
+            left.pop("elapsed_seconds")
+            right.pop("elapsed_seconds")
+            assert left == right

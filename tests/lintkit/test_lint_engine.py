@@ -125,7 +125,7 @@ class TestDriver:
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         assert sorted(RULES) == [
             "RL101",
             "RL102",
@@ -134,6 +134,7 @@ class TestRegistry:
             "RL105",
             "RL106",
             "RL107",
+            "RL108",
         ]
 
     def test_rule_ids_includes_meta_ids(self):

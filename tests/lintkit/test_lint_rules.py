@@ -1,4 +1,4 @@
-"""One triggering and one passing fixture per lint rule RL101-RL107.
+"""One triggering and one passing fixture per lint rule RL101-RL108.
 
 Fixtures are in-memory source strings handed to ``lint_sources`` under
 synthetic ``src/repro/...`` paths, so the rule scoping behaves exactly
@@ -543,5 +543,59 @@ class TestSpanNaming:
             """,
             "src/repro/experiments/example.py",
             "RL107",
+        )
+        assert hits == []
+
+
+class TestSingleProcessPool:
+    def test_pool_import_outside_parallel_triggers(self):
+        hits = rule_hits(
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def build_all(contexts):
+                with ProcessPoolExecutor(max_workers=4) as pool:
+                    return list(pool.map(len, contexts))
+            """,
+            "src/repro/experiments/example.py",
+            "RL108",
+        )
+        assert len(hits) == 1
+        assert "fan_out" in hits[0].message
+
+    def test_pool_attribute_triggers(self):
+        hits = rule_hits(
+            """
+            import concurrent.futures
+
+            def pool():
+                return concurrent.futures.ProcessPoolExecutor(2)
+            """,
+            "src/repro/experiments/example.py",
+            "RL108",
+        )
+        assert len(hits) == 1
+
+    def test_fan_out_passes(self):
+        hits = rule_hits(
+            """
+            from concurrent.futures import ThreadPoolExecutor
+            from repro.fastsim.parallel import fan_out
+
+            def build_all(contexts, workers):
+                return list(fan_out(len, contexts, workers))
+            """,
+            "src/repro/experiments/example.py",
+            "RL108",
+        )
+        assert hits == []
+
+    def test_parallel_module_is_exempt(self):
+        hits = rule_hits(
+            """
+            from concurrent.futures import ProcessPoolExecutor
+            """,
+            "src/repro/fastsim/parallel.py",
+            "RL108",
         )
         assert hits == []

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.obs import events
 
 
 class TestSpans:
@@ -167,20 +168,12 @@ class TestSnapshotMerge:
             counters=[("c", 2)],
             gauges=[("g", 3.0)],
         )
-        assert parent.merge(child.snapshot())
+        parent.merge(child.snapshot())
         assert parent.spans["a"]["seconds"] == 3.0
         assert parent.spans["a"]["count"] == 2
         assert parent.spans["b"]["count"] == 1
         assert parent.counters["c"] == 3
         assert parent.gauges["g"] == 5.0
-
-    def test_merge_is_duplicate_safe(self):
-        parent = obs.Collector()
-        child = self._loaded(counters=[("c", 1)])
-        snapshot = child.snapshot()
-        assert parent.merge(snapshot)
-        assert not parent.merge(snapshot)
-        assert parent.counters["c"] == 1
 
     def test_merge_is_order_independent(self):
         one = self._loaded(spans=[("a", 1.0)], counters=[("c", 1)])
@@ -193,48 +186,36 @@ class TestSnapshotMerge:
         assert forward.spans == backward.spans
         assert forward.counters == backward.counters
 
-    def test_merge_dedups_through_relays(self):
-        # worker -> sweep -> runner: the runner later seeing the worker's
-        # own snapshot again must not double-count it.
-        worker = self._loaded(counters=[("c", 1)])
-        sweep = obs.Collector()
-        sweep.merge(worker.snapshot())
-        runner = obs.Collector()
-        runner.merge(sweep.snapshot())
-        assert not runner.merge(worker.snapshot())
-        assert runner.counters["c"] == 1
-
-    def test_merge_prefix_reroots_spans_not_counters(self):
-        parent = obs.Collector()
-        child = self._loaded(
-            spans=[("kernel.run", 1.0)],
-            counters=[("kernel.runs", 1)],
-            gauges=[("worker.peak_rss_bytes", 5.0)],
-        )
-        assert parent.merge(child.snapshot(), prefix="parallel.run_many")
-        assert "parallel.run_many/kernel.run" in parent.spans
-        assert parent.counters["kernel.runs"] == 1
-        assert parent.gauges["worker.peak_rss_bytes"] == 5.0
-
-    def test_merge_snapshot_reroots_under_open_span(self):
+    def test_merge_worker_reroots_under_open_span(self):
         obs.enable()
-        child = self._loaded(spans=[("kernel.run", 1.0)])
+        worker = [
+            {"type": "span_end", "t": 1.0, "pid": 42,
+             "path": "kernel.run", "seconds": 1.0, "attrs": {}},
+            {"type": "counter", "t": 1.0, "pid": 42,
+             "name": "kernel.runs", "n": 1},
+            {"type": "gauge", "t": 1.0, "pid": 42,
+             "name": "worker.peak_rss_bytes", "value": 5.0},
+        ]
         with obs.span("parallel.run_many"):
-            assert obs.merge_snapshot(child.snapshot())
-        spans = obs.collector().spans
-        assert spans["parallel.run_many/kernel.run"]["count"] == 1
+            obs.merge_worker(worker)
+        collected = obs.collector()
+        assert collected.spans["parallel.run_many/kernel.run"]["count"] == 1
+        assert "kernel.run" not in collected.spans
+        # Counters and gauges are process-wide names: never re-rooted.
+        assert collected.counters["kernel.runs"] == 1
+        assert collected.gauges["worker.peak_rss_bytes"] == 5.0
+        # The worker's own list is not mutated by the re-rooting.
+        assert worker[0]["path"] == "kernel.run"
 
-    def test_merge_snapshot_disabled_is_noop(self):
-        child = self._loaded(spans=[("kernel.run", 1.0)])
-        assert not obs.merge_snapshot(child.snapshot())
+    def test_merge_worker_disabled_is_noop(self):
+        worker = [
+            {"type": "counter", "t": 1.0, "pid": 42,
+             "name": "kernel.runs", "n": 1},
+        ]
+        with events.recorded() as ring:
+            obs.merge_worker(worker)
         assert not obs.collector()
-
-    def test_merge_none_and_self_are_noops(self):
-        parent = self._loaded(counters=[("c", 1)])
-        assert not parent.merge(None)
-        assert not parent.merge({})
-        assert not parent.merge(parent.snapshot())
-        assert parent.counters["c"] == 1
+        assert ring.events() == []
 
     def test_clear_forgets_data_and_merge_memory(self):
         parent = obs.Collector()
@@ -243,7 +224,54 @@ class TestSnapshotMerge:
         parent.merge(snapshot)
         parent.clear()
         assert not parent
-        assert parent.merge(snapshot)
+        parent.merge(snapshot)
+        assert parent.counters["c"] == 1
+
+
+class TestApply:
+    def test_apply_folds_each_aggregate_event_type(self):
+        folded = obs.Collector()
+        for event in (
+            {"type": "span_start", "path": "a", "attrs": {}},
+            {"type": "span_end", "path": "a", "seconds": 1.5,
+             "attrs": {"peers": 5}},
+            {"type": "duration", "path": "a/phase", "seconds": 0.5, "n": 3},
+            {"type": "counter", "name": "c", "n": 2},
+            {"type": "counter", "name": "c", "n": 1},
+            {"type": "gauge", "name": "g", "value": 4.0},
+            {"type": "gauge", "name": "g", "value": 2.0},
+            {"type": "progress", "name": "p", "done": 1, "total": 2},
+        ):
+            folded.apply(event)
+        assert folded.spans == {
+            "a": {"count": 1, "seconds": 1.5, "attrs": {"peers": 5}},
+            "a/phase": {"count": 3, "seconds": 0.5, "attrs": {}},
+        }
+        assert folded.counters == {"c": 3.0}
+        assert folded.gauges == {"g": 4.0}
+
+    def test_worker_events_past_the_ring_capacity_fold_exactly(self):
+        # A worker's events are its only telemetry channel: 70,000
+        # counter events (more than a default ring holds) must all reach
+        # the parent's aggregate.
+        obs.enable()
+        result, shipped = obs.run_in_worker(_count_many, (70_000, True))
+        assert result == 70_000
+        assert len(shipped) > 1 << 16
+        with obs.span("parallel.run_many"):
+            obs.merge_worker(shipped)
+        assert obs.collector().counters["kernel.queries"] == 70_000.0
+
+    def test_run_in_worker_without_collect_ships_nothing(self):
+        result, shipped = obs.run_in_worker(_count_many, (10, False))
+        assert result == 10
+        assert shipped == []
+
+
+def _count_many(n: int) -> int:
+    for _ in range(n):
+        obs.count("kernel.queries")
+    return n
 
 
 class TestScoped:

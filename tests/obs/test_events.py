@@ -106,31 +106,18 @@ class TestCollectorHooks:
         assert by_type["duration"]["path"] == "kernel.run/draw"
         assert by_type["duration"]["n"] == 3
 
-    def test_merge_event_carries_prefix_and_snapshot(self):
-        worker = obs.Collector()
-        worker.count("kernel.queries", 5)
-        snapshot = worker.snapshot()
+    def test_merge_worker_marks_events_remote(self):
         obs.enable()
+        shipped = [
+            {"type": "counter", "t": 1.0, "pid": 42, "name": "a.b", "n": 1}
+        ]
         with events.recorded() as ring:
-            with obs.span("parallel.run_many"):
-                assert obs.merge_snapshot(snapshot)
-                # Re-delivery is duplicate-safe and must not re-emit.
-                assert not obs.merge_snapshot(snapshot)
-        merges = [e for e in ring.events() if e["type"] == "merge"]
-        assert len(merges) == 1
-        assert merges[0]["prefix"] == "parallel.run_many"
-        assert merges[0]["snapshot"]["counters"] == {"kernel.queries": 5.0}
-
-    def test_emit_remote_marks_events(self):
-        with events.recorded() as ring:
-            events.emit_remote(
-                [{"type": "counter", "t": 1.0, "pid": 42, "name": "a.b", "n": 1}]
-            )
-            events.emit_remote(None)
-            events.emit_remote([])
+            obs.merge_worker(shipped)
+            obs.merge_worker([])
         (event,) = ring.events()
         assert event["remote"] is True
         assert event["pid"] == 42
+        assert "remote" not in shipped[0]
 
 
 class TestJsonl:

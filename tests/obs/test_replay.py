@@ -3,9 +3,9 @@
 The flight recorder's core contract: a collector snapshot rebuilt from
 the event stream alone (:func:`repro.obs.export.replay`) equals the
 end-of-run ``Collector.snapshot()`` — for sequential runs, for pooled
-runs (whose workers ship events by value and contribute aggregates via
-merge events), and through a JSONL file that lost its final line to a
-kill.
+runs (whose workers ship their events by value, the one channel their
+aggregates travel on), and through a JSONL file that lost its final line
+to a kill.
 """
 
 from __future__ import annotations
@@ -60,24 +60,6 @@ class TestSequentialFidelity:
         assert _profile(rebuilt) == _profile(snapshot)
         assert rebuilt["counters"]["kernel.runs"] == 4.0
 
-    def test_duplicate_merge_replays_once(self):
-        worker = obs.Collector()
-        worker.count("kernel.queries", 9)
-        snapshot = worker.snapshot()
-        obs.enable()
-        with events.recorded() as ring:
-            with obs.span("parallel.run_many"):
-                obs.merge_snapshot(snapshot)
-        # A stream that recorded the merge event twice (e.g. a tee into
-        # two files concatenated back) must still count once: replay
-        # goes through the same duplicate-safe Collector.merge.
-        merge_event = next(
-            e for e in ring.events() if e["type"] == "merge"
-        )
-        doubled = ring.events() + [merge_event]
-        rebuilt = obs.replay(doubled)
-        assert rebuilt["counters"] == {"kernel.queries": 9.0}
-
 
 class TestPooledFidelity:
     def test_jobs4_run_many_matches_snapshot(self, strategy_jobs):
@@ -87,10 +69,11 @@ class TestPooledFidelity:
         snapshot = obs.collector().snapshot()
         rebuilt = obs.replay(ring.events())
         assert _profile(rebuilt) == _profile(snapshot)
-        # The pooled profile carries worker-merged kernel data...
+        # The pooled profile carries worker-folded kernel data...
         assert rebuilt["counters"]["kernel.runs"] == 4.0
         # ...and the stream carries the workers' own events, remote-marked,
-        # with per-worker pids distinct from the parent's.
+        # with per-worker pids distinct from the parent's and span paths
+        # re-rooted under the fan-out span.
         import os
 
         remote = [e for e in ring.events() if e.get("remote")]
@@ -98,9 +81,9 @@ class TestPooledFidelity:
         worker_pids = {e["pid"] for e in remote}
         assert os.getpid() not in worker_pids
         assert all(
-            not e.get("remote")
-            or e["type"] != "merge"
-            for e in ring.events()
+            e["path"].startswith("parallel.run_many/")
+            for e in remote
+            if "path" in e
         )
         # Sanity: pooled reports exist for all four strategies.
         assert len(pooled) == 4

@@ -124,3 +124,56 @@ class TestContentKey:
             },
         )
         assert base != bumped
+
+
+class TestModelWorkloadKeys:
+    """A model stream keys by its state; a boundary that never comes
+    (``inf``) keys as ``None`` instead of failing the key."""
+
+    @pytest.fixture
+    def params(self):
+        from repro.experiments.scenario import simulation_scenario
+
+        return simulation_scenario(scale=0.02)
+
+    def _stream(self, model, params):
+        zipf = ZipfDistribution(params.n_keys, params.alpha)
+        return model.build(zipf, np.random.default_rng(5))
+
+    def test_finite_boundary_keys_as_plain_state(self, params):
+        from repro.workloads import GradualDrift
+
+        stream = self._stream(GradualDrift(), params)
+        cls = type(stream)
+        assert canonical(stream) == {
+            "__object__": f"{cls.__module__}.{cls.__qualname__}",
+            "state": {
+                name: canonical(value)
+                for name, value in sorted(vars(stream).items())
+            },
+        }
+
+    def test_gradual_drift_job_key_is_byte_stable(self, params):
+        # Pinned before ModelWorkload gained __store_key__: a finite
+        # boundary must not re-key stored sweep cells.
+        from repro.fastsim.parallel import FastSimJob
+        from repro.workloads import GradualDrift
+
+        job = FastSimJob(
+            params=params,
+            seed=1,
+            duration=60.0,
+            workload=self._stream(GradualDrift(), params),
+        )
+        assert content_key(
+            "sweep_cell", {"job": job}, version="0", schema_rev=1
+        ) == "2f6edeecfa237c4a455ff3f1e2ec6180ae02ba3e31226e9fb47c444e412d0727"
+
+    def test_no_pending_boundary_keys_as_none(self, params):
+        from repro.workloads import DiurnalCycle
+
+        stream = self._stream(DiurnalCycle(), params)
+        assert stream.next_boundary(0.0) == float("inf")
+        assert canonical(stream)["state"]["_next"] is None
+        assert stream.next_boundary(0.0) == float("inf")  # not mutated
+        content_key("sweep_cell", {"workload": stream})

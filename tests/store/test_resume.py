@@ -178,6 +178,30 @@ class TestSweepGridResume:
         assert counters["cache.store.sweep_cell.miss"] == 1
 
 
+class TestDiurnalSweepResume:
+    def test_second_run_loads_every_cell(self, tmp_path):
+        # A diurnal stream never shifts its mapping (no pending boundary);
+        # its cells must still key, save, and resume.
+        from repro.experiments import api, sweeps
+
+        path = str(tmp_path / "artifacts.sqlite")
+        kwargs = dict(
+            workload="diurnal", duration=DURATION, scale=0.02, store=path
+        )
+        first = api.run("sweep", **kwargs)
+        sweeps._GRID_CACHE.clear()  # force the second run to the store
+        obs.enable()
+        try:
+            again = api.run("sweep", **kwargs)
+        finally:
+            obs.disable()
+        counters = again.telemetry["counters"]
+        assert counters["cache.store.sweep_cell.hit"] > 0
+        assert "cache.store.sweep_cell.miss" not in counters
+        assert "kernel.runs" not in counters
+        assert again.figure == first.figure
+
+
 class TestReplicateResume:
     def test_replicates_resume_and_extend(self, tmp_path):
         from repro.experiments import api

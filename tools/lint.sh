@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the repo's invariant checks (lint rules RL101-RL107) — the same
+# Run the repo's invariant checks (lint rules RL101-RL108) — the same
 # invocation the CI `lintkit` job gates PRs on.
 #
 #   tools/lint.sh                 # lint src tests benchmarks
